@@ -10,7 +10,7 @@ from .components import build_chunk, main_components
 from .encoder import fragment_from_dict, fragment_to_dict, synthesize_sentence
 from .exporter import merge, render
 from .ingest import facts_to_text, parse_conllu_file
-from .linearizer import linearize
+from .linearizer import LookupError_, RealizeTypeError, linearize
 from .structure import recognize, select
 
 
@@ -113,7 +113,11 @@ def _cmd_export(args):
 
 def _cmd_linearize(args):
     grammar = merge(_load_fragments(args.grammar))
-    text = linearize(grammar, args.fun, args=args.args or [], period=args.period)
+    try:
+        text = linearize(grammar, args.fun, args=args.args or [], period=args.period)
+    except (LookupError_, RealizeTypeError) as exc:
+        print("gfgen: %s" % exc.args[0], file=sys.stderr)
+        return 1
     print(text)
     return 0
 

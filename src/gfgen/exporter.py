@@ -7,24 +7,44 @@ canonical ordering of the definitions themselves, so the result does not
 depend on fragment order.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .encoder import App, GfFunction, GfOper, Lit, Ref, SentenceGrammar
 
 
+class LookupError_(KeyError):
+    """Unknown function or oper name in a grammar."""
+
+
+_REQUIRED = object()
+
+
 @dataclass
 class GfGrammar:
+    """A complete grammar.
+
+    The name index behind ``function`` is built once, at construction, so
+    ``functions`` must not change afterwards.
+    """
+
     start_category: str = "Message"
     categories: set = field(default_factory=lambda: {"Message"})
     lincats: dict = field(default_factory=lambda: {"Message": "Cl"})
     functions: list = field(default_factory=list)  # (sentence_id, intra_index, GfFunction)
     opers: dict = field(default_factory=dict)
+    _by_name: dict = field(init=False, repr=False, compare=False)
 
-    def function(self, name):
+    def __post_init__(self):
+        self._by_name = {}
         for _, _, fun in self.functions:
-            if fun.name == name:
-                return fun
-        raise KeyError("no function %r in grammar" % name)
+            self._by_name.setdefault(fun.name, fun)
+
+    def function(self, name, default=_REQUIRED):
+        """The function called ``name``; else ``default``, or LookupError_ without one."""
+        fun = self._by_name.get(name, default)
+        if fun is _REQUIRED:
+            raise LookupError_("no function %r in grammar" % name)
+        return fun
 
     def function_names(self):
         return [fun.name for _, _, fun in self.functions]
@@ -80,24 +100,21 @@ def _suffixed_oper_name(name, n):
 
 
 def _fragments(sources):
-    """Normalize merge inputs to (sentence_id, functions, opers) triples."""
+    """Normalize merge inputs to (functions, opers, categories, lincats) tuples.
+
+    Each oper comes paired with its rendered definition, so it is rendered
+    once; the other parts are the source's own, which merge only reads.
+    """
     out = []
     for src in sources:
         if isinstance(src, SentenceGrammar):
-            out.append(
-                (
-                    [(src.sentence_id, i, f) for i, f in enumerate(src.functions)],
-                    dict(src.opers),
-                    set(src.categories),
-                    dict(src.lincats),
-                )
-            )
+            functions = [(src.sentence_id, i, f) for i, f in enumerate(src.functions)]
         elif isinstance(src, GfGrammar):
-            out.append(
-                (list(src.functions), dict(src.opers), set(src.categories), dict(src.lincats))
-            )
+            functions = src.functions
         else:
             raise TypeError("cannot merge %r" % (src,))
+        opers = [(oper, render_expr(oper.definition)) for oper in src.opers.values()]
+        out.append((functions, opers, src.categories, src.lincats))
     return out
 
 
@@ -118,8 +135,8 @@ def merge(sources):
     # suffixed names must also dodge every name already in use
     oper_defs = {}
     for _, opers, _, _ in fragments:
-        for oper in opers.values():
-            oper_defs.setdefault(oper.name, {})[render_expr(oper.definition)] = None
+        for oper, rendered in opers:
+            oper_defs.setdefault(oper.name, {})[rendered] = None
     oper_final = {}
     taken_opers = set(oper_defs)
     for name in sorted(oper_defs):
@@ -134,27 +151,29 @@ def merge(sources):
                 taken_opers.add(final)
             oper_final[(name, rendered)] = final
 
-    merged = GfGrammar()
+    categories = {"Message"}
+    lincats = {"Message": "Cl"}
     final_opers = {}
     fun_defs = {}
     staged = []
-    for functions, opers, categories, lincats in fragments:
-        merged.categories |= categories
-        for cat, lin in lincats.items():
-            if merged.lincats.setdefault(cat, lin) != lin:
+    for functions, opers, fragment_categories, fragment_lincats in fragments:
+        categories |= fragment_categories
+        for cat, lin in fragment_lincats.items():
+            if lincats.setdefault(cat, lin) != lin:
                 raise ValueError("conflicting lincat for %s" % cat)
-        local_opers = {}
-        for oper in opers.values():
-            final = oper_final[(oper.name, render_expr(oper.definition))]
-            local_opers[oper.name] = final
+        oper_renames = {}
+        for oper, rendered in opers:
+            final = oper_final[(oper.name, rendered)]
+            if final != oper.name:
+                oper_renames[oper.name] = final
             final_opers.setdefault(final, []).append(oper)
         renamed = []
         for sid, intra, fun in functions:
-            lin = _rename_expr(fun.lin, local_opers, {})
-            renamed.append((sid, intra, fun, lin))
-            key = (fun.name, fun.arg_cats, fun.result, render_expr(lin))
-            fun_defs.setdefault(fun.name, {})[key[1:]] = None
-        staged.append((renamed, local_opers))
+            lin = _rename_expr(fun.lin, oper_renames, {}) if oper_renames else fun.lin
+            key = (fun.arg_cats, fun.result, render_expr(lin))
+            renamed.append((sid, intra, fun, lin, key))
+            fun_defs.setdefault(fun.name, {})[key] = None
+        staged.append(renamed)
 
     fun_final = {}
     taken_funs = set(fun_defs)
@@ -173,33 +192,28 @@ def merge(sources):
     # identical functions collapse to one entry tagged with the least
     # (sentence id, position), so fragment order cannot leak into the result
     collapsed = {}
-    for renamed, _ in staged:
-        local_funs = {
-            fun.name: fun_final[(fun.name, fun.arg_cats, fun.result, render_expr(lin))]
-            for _, _, fun, lin in renamed
-        }
-        for sid, intra, fun, lin in renamed:
+    for renamed in staged:
+        local_funs = {fun.name: fun_final[(fun.name,) + key] for _, _, fun, _, key in renamed}
+        fun_renames = {name: final for name, final in local_funs.items() if final != name}
+        for sid, intra, fun, lin, (_, _, rendered) in renamed:
+            if fun_renames:
+                lin = _rename_expr(lin, {}, fun_renames)
+                rendered = render_expr(lin)
             final_name = local_funs[fun.name]
-            final_lin = _rename_expr(lin, {}, local_funs)
-            key = (final_name, render_expr(final_lin))
-            entry = (
-                str(sid),
-                intra,
-                GfFunction(
-                    name=final_name,
-                    arg_names=fun.arg_names,
-                    arg_cats=fun.arg_cats,
-                    result=fun.result,
-                    lin=final_lin,
-                ),
-            )
+            if final_name != fun.name or lin is not fun.lin:
+                fun = replace(fun, name=final_name, lin=lin)
+            key = (final_name, rendered)
+            entry = (str(sid), intra, fun)
             if key not in collapsed or entry[:2] < collapsed[key][:2]:
                 collapsed[key] = entry
-    merged.functions.extend(collapsed.values())
+    functions = sorted(
+        collapsed.values(), key=lambda item: (str(item[0]), item[1], item[2].name)
+    )
 
+    opers = {}
     for final, variants in final_opers.items():
         first = variants[0]
-        merged.opers[final] = GfOper(
+        opers[final] = GfOper(
             name=final,
             category=first.category,
             definition=App(
@@ -210,8 +224,7 @@ def merge(sources):
             ),
         )
 
-    merged.functions.sort(key=lambda item: (str(item[0]), item[1], item[2].name))
-    return merged
+    return GfGrammar(categories=categories, lincats=lincats, functions=functions, opers=opers)
 
 
 def _fun_signature(fun):
@@ -289,25 +302,30 @@ def grammar_to_dict(grammar):
 def grammar_from_dict(d):
     from .encoder import expr_from_dict
 
-    grammar = GfGrammar(start_category=d.get("start_category", "Message"))
-    grammar.categories = set(d["categories"])
-    grammar.lincats = dict(d["lincats"])
-    for f in d["functions"]:
-        grammar.functions.append(
-            (
-                f.get("sentence_id", ""),
-                f.get("intra", 0),
-                GfFunction(
-                    name=f["name"],
-                    arg_names=tuple(a["name"] for a in f["args"]),
-                    arg_cats=tuple(a["cat"] for a in f["args"]),
-                    result=f["result"],
-                    lin=expr_from_dict(f["lin"]),
-                ),
-            )
+    functions = [
+        (
+            f.get("sentence_id", ""),
+            f.get("intra", 0),
+            GfFunction(
+                name=f["name"],
+                arg_names=tuple(a["name"] for a in f["args"]),
+                arg_cats=tuple(a["cat"] for a in f["args"]),
+                result=f["result"],
+                lin=expr_from_dict(f["lin"]),
+            ),
         )
-    for o in d["opers"]:
-        grammar.opers[o["name"]] = GfOper(
+        for f in d["functions"]
+    ]
+    opers = {
+        o["name"]: GfOper(
             name=o["name"], category=o["category"], definition=expr_from_dict(o["definition"])
         )
-    return grammar
+        for o in d["opers"]
+    }
+    return GfGrammar(
+        start_category=d.get("start_category", "Message"),
+        categories=set(d["categories"]),
+        lincats=dict(d["lincats"]),
+        functions=functions,
+        opers=opers,
+    )

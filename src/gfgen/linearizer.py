@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from . import morph
 from .encoder import App, Lit, Ref, ambient_category
+from .exporter import LookupError_
 from .morph import inflect_verb_3sg, pluralize_noun  # re-exported realizer surface
 
 __all__ = [
@@ -22,10 +23,6 @@ __all__ = [
     "LookupError_",
     "RealizeTypeError",
 ]
-
-
-class LookupError_(KeyError):
-    """Unknown function or oper reference during linearization."""
 
 
 class RealizeTypeError(TypeError):
@@ -294,9 +291,8 @@ def _verb_value(fn, lemma, forms):
 
 def _argument_value(grammar, text):
     """CLI/test argument: a function name, else an opaque NP symbol."""
-    try:
-        fun = grammar.function(text)
-    except KeyError:
+    fun = grammar.function(text, None)
+    if fun is None:
         return NPv(text=text.replace("_", " "), number="sg")
     if fun.arg_names:
         raise RealizeTypeError("argument function %s needs arguments itself" % text)
@@ -309,10 +305,7 @@ def linearize(grammar, function_name, args=(), period=False):
     ``args`` fill the function's arguments: each is a function name of the
     grammar or an opaque symbol (underscores become spaces, singular number).
     """
-    try:
-        fun = grammar.function(function_name)
-    except KeyError:
-        raise LookupError_("no function %r in grammar" % function_name)
+    fun = grammar.function(function_name)
     if len(args) != len(fun.arg_names):
         raise RealizeTypeError(
             "function %s takes %d arguments, got %d"

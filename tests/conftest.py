@@ -33,31 +33,35 @@ def build_people_grammar():
     from gfgen.encoder import GfFunction, GfOper, Lit, app, arg_ref, fun_ref, oper_ref
     from gfgen.exporter import GfGrammar
 
-    g = GfGrammar()
-    g.categories = {"Message", "People", "Action", "Entity"}
-    g.lincats = {"Message": "Cl", "People": "NP", "Action": "V2", "Entity": "NP"}
-    g.functions = [
-        (
-            "people",
-            0,
-            GfFunction(
-                name="simple_sent",
-                arg_names=("People", "Action", "Entity"),
-                arg_cats=("People", "Action", "Entity"),
-                result="Message",
-                lin=app("mkCl", arg_ref("People"), app("mkVP", arg_ref("Action"), arg_ref("Entity"))),
+    return GfGrammar(
+        categories={"Message", "People", "Action", "Entity"},
+        lincats={"Message": "Cl", "People": "NP", "Action": "V2", "Entity": "NP"},
+        functions=[
+            (
+                "people",
+                0,
+                GfFunction(
+                    name="simple_sent",
+                    arg_names=("People", "Action", "Entity"),
+                    arg_cats=("People", "Action", "Entity"),
+                    result="Message",
+                    lin=app(
+                        "mkCl",
+                        arg_ref("People"),
+                        app("mkVP", arg_ref("Action"), arg_ref("Entity")),
+                    ),
+                ),
             ),
-        ),
-        ("people", 1, GfFunction("Bill", (), (), "People", app("mkNP", oper_ref("Bill_N")))),
-        ("people", 2, GfFunction("Play", (), (), "Action", oper_ref("play_V2"))),
-        ("people", 3, GfFunction("Soccer", (), (), "Entity", app("mkNP", oper_ref("soccer_N")))),
-    ]
-    g.opers = {
-        "Bill_N": GfOper("Bill_N", "N", app("mkN", Lit("Bill"), Lit("Bill"))),
-        "play_V2": GfOper("play_V2", "V2", app("mkV2", Lit("play"))),
-        "soccer_N": GfOper("soccer_N", "N", app("mkN", Lit("soccer"))),
-    }
-    return g
+            ("people", 1, GfFunction("Bill", (), (), "People", app("mkNP", oper_ref("Bill_N")))),
+            ("people", 2, GfFunction("Play", (), (), "Action", oper_ref("play_V2"))),
+            ("people", 3, GfFunction("Soccer", (), (), "Entity", app("mkNP", oper_ref("soccer_N")))),
+        ],
+        opers={
+            "Bill_N": GfOper("Bill_N", "N", app("mkN", Lit("Bill"), Lit("Bill"))),
+            "play_V2": GfOper("play_V2", "V2", app("mkV2", Lit("play"))),
+            "soccer_N": GfOper("soccer_N", "N", app("mkN", Lit("soccer"))),
+        },
+    )
 
 
 @pytest.fixture

@@ -130,6 +130,26 @@ def test_linearize_people_style_args(tmp_path, capsys, fixtures_dir):
     assert capsys.readouterr().out.strip() == "Bill plays game"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--fun", "nope"], "gfgen: no function 'nope' in grammar"),
+        (
+            ["--fun", "sent_bill_game", "--args", "Bill"],
+            "gfgen: function sent_bill_game takes 0 arguments, got 1",
+        ),
+    ],
+)
+def test_linearize_error_is_one_line_and_status_1(tmp_path, capsys, fixtures_dir, argv, message):
+    outdir = tmp_path / "frags"
+    main(["synthesize", str(fixtures_dir / "bill_game.conllu"), "-o", str(outdir)])
+    capsys.readouterr()
+    assert main(["linearize", "--grammar", str(outdir)] + argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
 def test_unknown_command_exits():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

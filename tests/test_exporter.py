@@ -1,4 +1,7 @@
+import hashlib
 import random
+
+import pytest
 
 from gfgen.encoder import (
     GfFunction,
@@ -10,8 +13,16 @@ from gfgen.encoder import (
     oper_ref,
     synthesize_sentence,
 )
-from gfgen.exporter import GfGrammar, grammar_from_dict, grammar_to_dict, merge, render
+from gfgen.exporter import (
+    GfGrammar,
+    LookupError_,
+    grammar_from_dict,
+    grammar_to_dict,
+    merge,
+    render,
+)
 from gfgen.ingest import parse_conllu_file
+from gfgen.linearizer import linearize
 
 
 def corpus_fragments(fixtures_dir):
@@ -72,6 +83,9 @@ def test_conflicting_opers_get_suffixes():
     # references follow the rename
     sent_lins = {f.name: f.lin for _, _, f in merged.functions}
     assert len(sent_lins) == 4  # Bank, Bank_2, sent_a, sent_b
+    assert linearize(merged, "sent_a") == "river bank is river bank"
+    assert linearize(merged, "sent_b") == "money bank is money bank"
+    assert sent_lins["sent_b"] == app("mkCl", fun_ref("Bank_2"), fun_ref("Bank_2"))
 
 
 def test_merge_idempotent(fixtures_dir):
@@ -94,6 +108,15 @@ def test_merge_permutation_invariant(fixtures_dir):
 def test_merge_duplicate_fragment_list(fixtures_dir):
     fragments = corpus_fragments(fixtures_dir)
     assert render(merge(fragments), "G") == render(merge(fragments + fragments), "G")
+
+
+def test_merged_corpus_golden(fixtures_dir):
+    abstract, concrete = render(merge(corpus_fragments(fixtures_dir)), "Wiki")
+    assert len(abstract + concrete) == 24469
+    assert (
+        hashlib.sha256((abstract + concrete).encode()).hexdigest()
+        == "d7a103b089411bec3a823020cc67c039896cb7e195dee1cc41d0f59b5149bbb6"
+    )
 
 
 def test_render_deterministic(fixtures_dir):
@@ -132,6 +155,15 @@ def test_render_layout(bill_game_facts):
     oper_lines = concrete.split("  oper\n", 1)[1].splitlines()[:-1]
     names = [l.strip().split(" = ")[0] for l in oper_lines if l.strip()]
     assert names == sorted(names)
+
+
+def test_function_index_matches_function_list(fixtures_dir, people_grammar):
+    merged = merge(corpus_fragments(fixtures_dir))
+    for grammar in (merged, people_grammar, grammar_from_dict(grammar_to_dict(merged))):
+        for _, _, fun in grammar.functions:
+            assert grammar.function(fun.name) is fun
+        with pytest.raises(LookupError_):
+            grammar.function("no_such_fun")
 
 
 def test_grammar_dict_roundtrip(fixtures_dir):

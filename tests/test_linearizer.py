@@ -1,6 +1,6 @@
 import pytest
 
-from gfgen.encoder import GfOper, Lit, app, oper_ref, synthesize_sentence
+from gfgen.encoder import GfOper, Lit, app, fun_ref, oper_ref, synthesize_sentence
 from gfgen.exporter import merge
 from gfgen.ingest import parse_conllu, parse_conllu_file
 from gfgen.linearizer import (
@@ -39,6 +39,12 @@ def test_period_flag(bill_game_facts):
 def test_unknown_function_raises(people_grammar):
     with pytest.raises(LookupError_):
         linearize(people_grammar, "no_such_fun")
+
+
+@pytest.mark.parametrize("ref", [fun_ref, oper_ref])
+def test_dangling_reference_raises(people_grammar, ref):
+    with pytest.raises(LookupError_):
+        linearize_expr(app("mkCl", ref("Gone"), ref("Gone")), people_grammar)
 
 
 def test_wrong_arity_raises(people_grammar):
