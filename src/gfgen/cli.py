@@ -52,7 +52,7 @@ def _dump_components(sentences, out):
 
 def _dump_models(sentences, out):
     for facts in sentences:
-        model = engine.derive_family(engine.sentence_atoms(facts), "structure")
+        model = engine.derive_family(facts.fact_index, "structure")
         out.write("%% sentence %s\n" % facts.sentence_id)
         out.write(engine.model_to_text(model))
 

@@ -95,9 +95,8 @@ class Chunk:
 
 def _role_bindings(facts, body, roles):
     """Solve a component rule body, returning candidate role maps."""
-    sentence = engine.sentence_atoms(facts)
     out = []
-    for subst in engine.bindings(sentence, body):
+    for subst in engine.bindings(facts.fact_index, body):
         out.append({role: subst[var] for role, var in roles.items()})
     return out
 
@@ -177,7 +176,7 @@ def main_components(facts, selected):
 
 def complements(facts, pos):
     """All complement attachments anchored at one token, in dependent order."""
-    model = engine.derive_family(engine.sentence_atoms(facts), "complements", pos=pos)
+    model = engine.derive_family(facts.fact_index, "complements", pos=pos)
     out = []
     for a in sorted(model.derived, key=lambda a: (a.args[0], a.predicate)):
         if a.predicate == "preposition":

@@ -9,6 +9,7 @@ Terms are plain ints or lowercase symbol strings; identifiers starting with
 an uppercase letter are variables.
 """
 
+import functools
 from dataclasses import dataclass
 
 
@@ -70,19 +71,50 @@ def _match_atom(pattern, fact, subst):
     return out
 
 
-def bindings(facts, body):
-    """All substitutions satisfying a conjunctive body, deterministically ordered."""
-    by_pred = {}
-    for f in facts:
-        by_pred.setdefault(f.predicate, []).append(f)
-    for group in by_pred.values():
-        group.sort(key=lambda a: a.args)
+class FactIndex:
+    """Ground facts grouped for rule evaluation, each group sorted once.
 
+    ``by_predicate`` holds each predicate's facts in argument order and
+    ``by_first`` each (predicate, first argument) subsequence of those lists,
+    so a lookup through either sees the facts in the same order.
+    """
+
+    def __init__(self, facts):
+        self.facts = frozenset(facts)
+        self.by_predicate = {}
+        for f in self.facts:
+            self.by_predicate.setdefault(f.predicate, []).append(f)
+        self.by_first = {}
+        for group in self.by_predicate.values():
+            group.sort(key=lambda a: a.args)
+            for f in group:
+                if f.args:
+                    self.by_first.setdefault((f.predicate, f.args[0]), []).append(f)
+
+
+def _index(facts):
+    return facts if isinstance(facts, FactIndex) else FactIndex(facts)
+
+
+def bindings(facts, body):
+    """All substitutions satisfying a conjunctive body, deterministically ordered.
+
+    ``facts`` is a FactIndex or any collection of ground atoms.  A pattern
+    whose first argument is a constant or already bound is matched against
+    that argument's facts only.
+    """
+    index = _index(facts)
     results = [dict()]
     for pattern in body:
-        candidates = by_pred.get(pattern.predicate, [])
+        first = pattern.args[0] if pattern.args else None
+        first_is_var = not pattern.args or is_variable(first)
         next_results = []
         for subst in results:
+            if first_is_var and first not in subst:
+                candidates = index.by_predicate.get(pattern.predicate, ())
+            else:
+                key = subst[first] if first_is_var else first
+                candidates = index.by_first.get((pattern.predicate, key), ())
             for fact in candidates:
                 extended = _match_atom(pattern, fact, subst)
                 if extended is not None:
@@ -101,19 +133,28 @@ def _substitute(head, subst):
 
 
 def derive(facts, rules):
-    """Least fixpoint of a rule list over ground facts."""
-    atoms = set(facts)
-    changed = True
-    while changed:
-        changed = False
-        for r in rules:
-            for subst in bindings(atoms, r.body):
-                for head in r.heads:
-                    ground = _substitute(head, subst)
-                    if ground not in atoms:
-                        atoms.add(ground)
-                        changed = True
-    return Model(atoms=frozenset(atoms), inputs=frozenset(facts))
+    """Least fixpoint of a rule list over ground facts (a set or a FactIndex).
+
+    When no head predicate occurs in a body, no rule can feed another, so one
+    pass reaches the fixpoint; otherwise passes repeat over a fresh index
+    until one derives nothing new.
+    """
+    index = _index(facts)
+    heads = {h.predicate for r in rules for h in r.heads}
+    recursive = any(b.predicate in heads for r in rules for b in r.body)
+    atoms = set(index.facts)
+    while True:
+        new = {
+            _substitute(head, subst)
+            for r in rules
+            for subst in bindings(index, r.body)
+            for head in r.heads
+        }
+        new -= atoms
+        atoms |= new
+        if not (recursive and new):
+            return Model(atoms=frozenset(atoms), inputs=index.facts)
+        index = FactIndex(atoms)
 
 
 def model_to_text(model):
@@ -182,6 +223,7 @@ COMPONENT_RULES = (
 )
 
 
+@functools.cache
 def complement_rules(pos):
     """Complement rules anchored at one word position.
 

@@ -91,6 +91,31 @@ def _rename_expr(expr, oper_map, fun_map):
     return expr
 
 
+def _fun_refs(expr):
+    """Names of the functions an expression references, in reading order."""
+    if isinstance(expr, Ref):
+        return [expr.name] if expr.kind == "fun" else []
+    if isinstance(expr, App):
+        return [name for a in expr.args for name in _fun_refs(a)]
+    return []
+
+
+def _function_key(name, bodies, keys):
+    """Merge key of a fragment function: its own key plus those of the functions it reaches.
+
+    ``bodies`` maps each of the fragment's function names to (body, own key),
+    the own key being (argument categories, result, rendered body); ``keys``
+    memoizes the result.  Bodies that read alike but reach different
+    functions get different keys, so they get different names.
+    """
+    if name not in keys:
+        keys[name] = None  # a cyclic reference contributes no key
+        lin, own = bodies[name]
+        refs = tuple(_function_key(ref, bodies, keys) for ref in _fun_refs(lin) if ref in bodies)
+        keys[name] = own + (refs,)
+    return keys[name]
+
+
 def _suffixed_oper_name(name, n):
     # keep the category suffix last: popular_A -> popular_2_A
     base, _, cat = name.rpartition("_")
@@ -167,15 +192,19 @@ def merge(sources):
             if final != oper.name:
                 oper_renames[oper.name] = final
             final_opers.setdefault(final, []).append(oper)
+        bodies = {}  # a name defined twice keeps its first definition, as lookup does
+        for _, _, fun in functions:
+            if fun.name not in bodies:
+                lin = _rename_expr(fun.lin, oper_renames, {}) if oper_renames else fun.lin
+                bodies[fun.name] = (lin, (fun.arg_cats, fun.result, render_expr(lin)))
+        keys = {}
         renamed = []
         for sid, intra, fun in functions:
-            lin = _rename_expr(fun.lin, oper_renames, {}) if oper_renames else fun.lin
-            key = (fun.arg_cats, fun.result, render_expr(lin))
-            renamed.append((sid, intra, fun, lin, key))
+            key = _function_key(fun.name, bodies, keys)
+            renamed.append((sid, intra, fun, bodies[fun.name][0], key))
             fun_defs.setdefault(fun.name, {})[key] = None
         staged.append(renamed)
 
-    fun_final = {}
     taken_funs = set(fun_defs)
     for name in sorted(fun_defs):
         for i, key in enumerate(sorted(fun_defs[name], key=repr)):
@@ -187,15 +216,15 @@ def merge(sources):
                     n += 1
                 final = "%s_%d" % (name, n)
                 taken_funs.add(final)
-            fun_final[(name,) + key] = final
+            fun_defs[name][key] = final
 
     # identical functions collapse to one entry tagged with the least
     # (sentence id, position), so fragment order cannot leak into the result
     collapsed = {}
     for renamed in staged:
-        local_funs = {fun.name: fun_final[(fun.name,) + key] for _, _, fun, _, key in renamed}
+        local_funs = {fun.name: fun_defs[fun.name][key] for _, _, fun, _, key in renamed}
         fun_renames = {name: final for name, final in local_funs.items() if final != name}
-        for sid, intra, fun, lin, (_, _, rendered) in renamed:
+        for sid, intra, fun, lin, (_, _, rendered, _) in renamed:
             if fun_renames:
                 lin = _rename_expr(lin, {}, fun_renames)
                 rendered = render_expr(lin)

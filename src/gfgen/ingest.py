@@ -6,8 +6,9 @@ multiword-token ranges ("3-4") and empty nodes ("3.1") are skipped.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from . import morph
+from . import engine, morph
 
 # Penn tags are preferred (the component rules test them); when only UPOS is
 # available we map the tags the rules care about and lowercase the rest.
@@ -94,6 +95,11 @@ class SentenceFacts:
                     )
                 seen.add(node)
                 node = parent[node]
+
+    @cached_property
+    def fact_index(self):
+        """The sentence's atoms indexed for the rule engine, built on first use."""
+        return engine.FactIndex(engine.sentence_atoms(self))
 
     def token(self, index):
         return self._by_index[index]

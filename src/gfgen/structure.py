@@ -27,7 +27,7 @@ class StructureAtom:
 
 def recognize(facts):
     """All structure readings of a sentence (empty set: unrecognized)."""
-    model = engine.derive_family(engine.sentence_atoms(facts), "structure")
+    model = engine.derive_family(facts.fact_index, "structure")
     return {
         StructureAtom(kind=a.args[0], i_value=a.args[1])
         for a in model.with_predicate("structure")

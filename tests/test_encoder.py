@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -259,3 +260,17 @@ def test_rule_selection_unambiguous(board_game_facts):
 
     for fun in fragment.functions:
         check(fun.lin, fragment.opers)
+
+
+def test_corpus_fragments_golden(fixtures_dir):
+    text = ""
+    for path in sorted((fixtures_dir / "corpus").glob("*/*.conllu")):
+        for facts in parse_conllu_file(path):
+            fragment = synthesize_sentence(facts)
+            if fragment is not None:
+                text += json.dumps(fragment_to_dict(fragment), indent=2, sort_keys=True) + "\n"
+    assert len(text) == 180393
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "820841370f97974b81f06b4ec522e5287c989e4d25b921bab8aaa388ae2851aa"
+    )

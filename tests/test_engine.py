@@ -131,11 +131,90 @@ def test_brute_force_grounder_equivalence():
             )
 
 
+def test_complements_brute_force_equivalence():
+    rng = random.Random(20261018)
+    relations = ["compound", "amod", "conj", "nmod", "obl", "case", "advmod"]
+    for _ in range(25):
+        n_tokens = rng.randint(2, 10)
+        facts = frozenset(
+            atom(rng.choice(relations), rng.randint(1, n_tokens), rng.randint(1, n_tokens))
+            for _ in range(rng.randint(1, 14))
+        )
+        for pos in range(1, n_tokens + 1):
+            rules = engine.complement_rules(pos)
+            assert derive(facts, rules).atoms == _brute_force(facts, rules), (
+                pos,
+                sorted(map(str, facts)),
+            )
+
+
+def test_recursive_rules_reach_the_fixpoint():
+    closure = (
+        engine.rule([atom("path", "X", "Y")], [atom("edge", "X", "Y")]),
+        engine.rule([atom("path", "X", "Z")], [atom("path", "X", "Y"), atom("edge", "Y", "Z")]),
+    )
+    rng = random.Random(7)
+    for _ in range(10):
+        facts = frozenset(
+            atom("edge", rng.randint(1, 7), rng.randint(1, 7)) for _ in range(rng.randint(1, 9))
+        )
+        assert derive(facts, closure).atoms == _brute_force(facts, closure), sorted(map(str, facts))
+    chain = frozenset(atom("edge", i, i + 1) for i in range(1, 6))
+    assert atom("path", 1, 6) in derive(chain, closure).atoms
+
+
+def _naive_bindings(facts, body):
+    """Nested loops over every fact, sorted by predicate and arguments."""
+    ordered = sorted(facts, key=lambda a: (a.predicate, a.args))
+    results = [{}]
+    for pattern in body:
+        extended = []
+        for subst in results:
+            for fact in ordered:
+                if fact.predicate != pattern.predicate or len(fact.args) != len(pattern.args):
+                    continue
+                out = dict(subst)
+                for term, value in zip(pattern.args, fact.args):
+                    bound = out.setdefault(term, value) if is_variable(term) else term
+                    if bound != value:
+                        break
+                else:
+                    extended.append(out)
+        results = extended
+    return results
+
+
 def test_bindings_are_deterministic():
     facts = frozenset([atom("nsubj", 2, 1), atom("nsubj", 5, 4)])
     body = [atom("nsubj", "V", "S")]
     assert bindings(facts, body) == bindings(set(facts), body)
     assert [b["V"] for b in bindings(facts, body)] == [2, 5]
+
+    # later patterns have their first argument bound by an earlier one
+    facts = frozenset(
+        [
+            atom("nmod", 6, 10),
+            atom("nmod", 2, 6),
+            atom("nmod", 6, 8),
+            atom("case", 10, 7),
+            atom("case", 8, 7),
+            atom("case", 10, 9),
+            atom("case", 6, 3),
+            atom("amod", 10, 11),
+            atom("amod", 8, 12),
+            atom("amod", 6, 5),
+            atom("pos_tag", 6, "nn"),
+            atom("pos_tag", 10, "nns"),
+        ]
+    )
+    body = [atom("nmod", "H", "C"), atom("case", "C", "M"), atom("amod", "C", "A")]
+    expected = _naive_bindings(facts, body)
+    assert len(expected) == 4
+    assert bindings(facts, body) == expected
+    assert bindings(engine.FactIndex(facts), body) == expected
+    body = [atom("nmod", 6, "C"), atom("case", "C", "M"), atom("pos_tag", "C", "nns")]
+    assert bindings(facts, body) == _naive_bindings(facts, body)
+    assert bindings(facts, body) == [{"C": 10, "M": 7}, {"C": 10, "M": 9}]
 
 
 def test_model_to_text():

@@ -21,7 +21,7 @@ from gfgen.exporter import (
     merge,
     render,
 )
-from gfgen.ingest import parse_conllu_file
+from gfgen.ingest import parse_conllu, parse_conllu_file
 from gfgen.linearizer import linearize
 
 
@@ -86,6 +86,33 @@ def test_conflicting_opers_get_suffixes():
     assert linearize(merged, "sent_a") == "river bank is river bank"
     assert linearize(merged, "sent_b") == "money bank is money bank"
     assert sent_lins["sent_b"] == app("mkCl", fun_ref("Bank_2"), fun_ref("Bank_2"))
+
+
+def _bank_sleeps(modifier):
+    """"The <modifier> bank sleeps." without a sent_id, so its id is s1."""
+    rows = [
+        ("1", "The", "the", "DET", "DT", "_", "3", "det", "_", "_"),
+        ("2", modifier, modifier, "NOUN", "NN", "_", "3", "compound", "_", "_"),
+        ("3", "bank", "bank", "NOUN", "NN", "_", "4", "nsubj", "_", "_"),
+        ("4", "sleeps", "sleep", "VERB", "VBZ", "_", "0", "root", "_", "_"),
+        ("5", ".", ".", "PUNCT", ".", "_", "4", "punct", "_", "_"),
+    ]
+    (facts,) = parse_conllu("\n".join("\t".join(row) for row in rows) + "\n")
+    return synthesize_sentence(facts)
+
+
+def test_shared_sentence_id_gets_unique_names():
+    river, money = _bank_sleeps("river"), _bank_sleeps("money")
+    assert river.sentence_id == money.sentence_id == "s1"
+    merged = merge([river, money])
+    names = merged.function_names()
+    assert len(names) == len(set(names))
+    assert sorted(name for name in names if name.startswith("sent_")) == ["sent_s1", "sent_s1_2"]
+    assert {linearize(merged, "sent_s1"), linearize(merged, "sent_s1_2")} == {
+        "river bank sleeps",
+        "money bank sleeps",
+    }
+    assert render(merge([money, river]), "G") == render(merged, "G")
 
 
 def test_merge_idempotent(fixtures_dir):
