@@ -1,9 +1,9 @@
 """Main-component role assignment and recursive complement chunking.
 
 The component rules map a few words onto roles (sub, verb, obj, ...) for the
-selected structure; everything else hangs off those words as complements
-discovered by re-running the complement rules at each new position, which
-yields the maximal chunk of words supporting each main component.
+selected structure; everything else hangs off those words as complements,
+read from the sentence model at each new position, which yields the maximal
+chunk of words supporting each main component.
 """
 
 from dataclasses import dataclass
@@ -17,6 +17,8 @@ from .engine import atom
 ROLE_ORDER = ("sub", "verb", "verb_1", "verb_2", "obj", "adj")
 
 COPULAR_OBJ_TAGS = {"nn", "nns", "cd"}
+
+COMPLEMENT_KINDS = frozenset(h.predicate for r in engine.COMPLEMENT_RULES for h in r.heads)
 
 
 class UnsupportedCopularComplement(ValueError):
@@ -51,7 +53,7 @@ class ComponentMap:
 
 @dataclass(frozen=True)
 class ComplementAttachment:
-    kind: str  # noun_compound | adj_mod | noun_conjunction | preposition | adverbial_modifier
+    kind: str  # one of COMPLEMENT_KINDS
     host: int
     dependent: int
     case_marker: int = None
@@ -176,25 +178,11 @@ def main_components(facts, selected):
 
 def complements(facts, pos):
     """All complement attachments anchored at one token, in dependent order."""
-    model = engine.derive_family(facts.fact_index, "complements", pos=pos)
-    out = []
-    for a in sorted(model.derived, key=lambda a: (a.args[0], a.predicate)):
-        if a.predicate == "preposition":
-            out.append(
-                ComplementAttachment(
-                    kind="preposition", host=pos, dependent=a.args[0], case_marker=a.args[1]
-                )
-            )
-        elif a.predicate in (
-            "noun_compound",
-            "adj_mod",
-            "noun_conjunction",
-            "adverbial_modifier",
-        ):
-            out.append(
-                ComplementAttachment(kind=a.predicate, host=pos, dependent=a.args[0])
-            )
-    return sorted(out, key=lambda att: att.dependent)
+    found = [
+        a for a in facts.model.derived if a.predicate in COMPLEMENT_KINDS and a.args[0] == pos
+    ]
+    found.sort(key=lambda a: (a.args[1], a.predicate, a.args))
+    return [ComplementAttachment(a.predicate, *a.args) for a in found]
 
 
 def build_chunk(facts, head, _visited=None):

@@ -25,6 +25,7 @@ PLURAL_TAGS = {"nns", "nnps"}
 PROPER_TAGS = {"nnp", "nnps", "prp", "wp"}
 
 SLOT_PATTERN = re.compile(r"^\$(\d+)$")
+NON_IDENT_RUN = re.compile(r"[^a-z0-9]+")
 
 
 class CategoryError(ValueError):
@@ -219,7 +220,7 @@ def expr_has_args(expr):
 
 
 def sanitize_ident(text):
-    ident = re.sub(r"[^a-z0-9]+", "_", text.lower()).strip("_")
+    ident = NON_IDENT_RUN.sub("_", text.lower()).strip("_")
     if not ident:
         ident = "x"
     if ident[0].isdigit():

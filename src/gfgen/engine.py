@@ -1,15 +1,15 @@
 """Forward-chaining evaluation of the stratified rule families.
 
-The three rule families (structure recognition, main components, complement
-discovery) are positive and choice-free in effect, so a least fixpoint over
-ground facts replaces a full ASP solver.  Heads with cardinality bounds are
-definite: every head atom is derived once the body matches.
+Each sentence is analysed by one program, the structure rules plus the
+complement rules, evaluated once; the main-components family is kept beside
+it.  The rules are positive and choice-free in effect, so a least fixpoint
+over ground facts replaces a full ASP solver.  Heads with cardinality bounds
+are definite: every head atom is derived once the body matches.
 
 Terms are plain ints or lowercase symbol strings; identifiers starting with
 an uppercase letter are variables.
 """
 
-import functools
 from dataclasses import dataclass
 
 
@@ -38,17 +38,18 @@ def rule(heads, body):
 
 @dataclass(frozen=True)
 class Model:
-    """Least fixpoint of a rule family: input facts plus derived atoms."""
+    """Least fixpoint of a rule family: input facts plus derived atoms.
+
+    ``derived`` holds the atoms rule heads produced, whether or not an input
+    fact equals one, so an input relation named like a head predicate is
+    never read as a derived atom.
+    """
 
     atoms: frozenset
-    inputs: frozenset
+    derived: frozenset
 
-    @property
-    def derived(self):
-        return self.atoms - self.inputs
-
-    def with_predicate(self, predicate):
-        return {a for a in self.atoms if a.predicate == predicate}
+    def derived_with(self, predicate):
+        return {a for a in self.derived if a.predicate == predicate}
 
 
 def is_variable(term):
@@ -142,18 +143,16 @@ def derive(facts, rules):
     index = _index(facts)
     heads = {h.predicate for r in rules for h in r.heads}
     recursive = any(b.predicate in heads for r in rules for b in r.body)
-    atoms = set(index.facts)
     while True:
-        new = {
+        derived = frozenset(
             _substitute(head, subst)
             for r in rules
             for subst in bindings(index, r.body)
             for head in r.heads
-        }
-        new -= atoms
-        atoms |= new
-        if not (recursive and new):
-            return Model(atoms=frozenset(atoms), inputs=index.facts)
+        )
+        atoms = index.facts | derived
+        if not (recursive and len(atoms) > len(index.facts)):
+            return Model(atoms=atoms, derived=derived)
         index = FactIndex(atoms)
 
 
@@ -223,43 +222,41 @@ COMPONENT_RULES = (
 )
 
 
-@functools.cache
-def complement_rules(pos):
-    """Complement rules anchored at one word position.
+# Complement discovery.  Each head carries the host word it attaches to; the
+# preposition rule pairs an nmod (or its UD-v2 spelling, obl) with the
+# dependent's case marker.
+COMPLEMENT_RULES = (
+    rule([atom("noun_compound", "H", "N")], [atom("compound", "H", "N")]),
+    rule([atom("adj_mod", "H", "JJ")], [atom("amod", "H", "JJ")]),
+    rule([atom("noun_conjunction", "H", "N")], [atom("conj", "H", "N")]),
+    rule(
+        [atom("preposition", "H", "COMP", "IN")],
+        [atom("nmod", "H", "COMP"), atom("case", "COMP", "IN")],
+    ),
+    rule(
+        [atom("preposition", "H", "COMP", "IN")],
+        [atom("obl", "H", "COMP"), atom("case", "COMP", "IN")],
+    ),
+    rule([atom("adverbial_modifier", "H", "ADV")], [atom("advmod", "H", "ADV")]),
+)
 
-    The preposition rule pairs an nmod (or its UD-v2 spelling, obl) with the
-    dependent's case marker.
-    """
-    return (
-        rule([atom("noun_compound", "N")], [atom("compound", pos, "N")]),
-        rule([atom("adj_mod", "JJ")], [atom("amod", pos, "JJ")]),
-        rule([atom("noun_conjunction", "N")], [atom("conj", pos, "N")]),
-        rule(
-            [atom("preposition", "COMP", "IN")],
-            [atom("nmod", pos, "COMP"), atom("case", "COMP", "IN")],
-        ),
-        rule(
-            [atom("preposition", "COMP", "IN")],
-            [atom("obl", pos, "COMP"), atom("case", "COMP", "IN")],
-        ),
-        rule([atom("adverbial_modifier", "ADV")], [atom("advmod", pos, "ADV")]),
-    )
-
+# The program each sentence is analysed with; no head feeds a body, so one
+# pass reaches its fixpoint.
+SENTENCE_RULES = STRUCTURE_RULES + COMPLEMENT_RULES
 
 FAMILIES = {
-    "structure": lambda pos=None: STRUCTURE_RULES,
-    "components": lambda pos=None: COMPONENT_RULES,
-    "complements": complement_rules,
+    "structure": STRUCTURE_RULES,
+    "components": COMPONENT_RULES,
+    "complements": COMPLEMENT_RULES,
+    "sentence": SENTENCE_RULES,
 }
 
 
-def derive_family(facts, family, pos=None):
-    """Evaluate a named rule family ("structure", "components", "complements")."""
+def derive_family(facts, family):
+    """Evaluate a named rule family (a key of FAMILIES)."""
     if family not in FAMILIES:
         raise KeyError("unknown rule family %r" % family)
-    if family == "complements" and pos is None:
-        raise ValueError("the complements family needs an anchor position")
-    return derive(facts, FAMILIES[family](pos))
+    return derive(facts, FAMILIES[family])
 
 
 def sentence_atoms(facts):

@@ -4,9 +4,11 @@ Merging is a set union of categories, lincats, functions and opers.  Name
 collisions with identical definitions collapse to one entry; collisions with
 different definitions are renamed with a numeric suffix chosen from the
 canonical ordering of the definitions themselves, so the result does not
-depend on fragment order.
+depend on fragment order.  Only names that more than one source defines are
+rendered and compared.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from .encoder import App, GfFunction, GfOper, Lit, Ref, SentenceGrammar
@@ -103,16 +105,17 @@ def _fun_refs(expr):
 def _function_key(name, bodies, keys):
     """Merge key of a fragment function: its own key plus those of the functions it reaches.
 
-    ``bodies`` maps each of the fragment's function names to (body, own key),
-    the own key being (argument categories, result, rendered body); ``keys``
-    memoizes the result.  Bodies that read alike but reach different
-    functions get different keys, so they get different names.
+    ``bodies`` maps each of the fragment's function names to (function, body
+    after oper renames); the own key is (argument categories, result,
+    rendered body), and ``keys`` memoizes the result.  Bodies that read alike
+    but reach different functions get different keys, so they get different
+    names.
     """
     if name not in keys:
         keys[name] = None  # a cyclic reference contributes no key
-        lin, own = bodies[name]
+        fun, lin = bodies[name]
         refs = tuple(_function_key(ref, bodies, keys) for ref in _fun_refs(lin) if ref in bodies)
-        keys[name] = own + (refs,)
+        keys[name] = (fun.arg_cats, fun.result, render_expr(lin), refs)
     return keys[name]
 
 
@@ -124,23 +127,37 @@ def _suffixed_oper_name(name, n):
     return "%s_%d" % (name, n)
 
 
-def _fragments(sources):
-    """Normalize merge inputs to (functions, opers, categories, lincats) tuples.
+def _suffixed_fun_name(name, n):
+    return "%s_%d" % (name, n)
 
-    Each oper comes paired with its rendered definition, so it is rendered
-    once; the other parts are the source's own, which merge only reads.
+
+def _functions(src):
+    """A merge input's functions as (sentence id, position, function) entries."""
+    if isinstance(src, SentenceGrammar):
+        return [(src.sentence_id, i, f) for i, f in enumerate(src.functions)]
+    if isinstance(src, GfGrammar):
+        return src.functions
+    raise TypeError("cannot merge %r" % (src,))
+
+
+def _name_variants(variants_by_name, taken, suffixed, order):
+    """Final names for colliding definitions, independent of source order.
+
+    ``variants_by_name`` maps each name to {variant key: None}; the variant
+    first in ``order`` keeps the name, each other one gets the next suffix
+    that no name in ``taken`` uses.  The placeholders become final names.
     """
-    out = []
-    for src in sources:
-        if isinstance(src, SentenceGrammar):
-            functions = [(src.sentence_id, i, f) for i, f in enumerate(src.functions)]
-        elif isinstance(src, GfGrammar):
-            functions = src.functions
-        else:
-            raise TypeError("cannot merge %r" % (src,))
-        opers = [(oper, render_expr(oper.definition)) for oper in src.opers.values()]
-        out.append((functions, opers, src.categories, src.lincats))
-    return out
+    for name in sorted(variants_by_name):
+        variants = variants_by_name[name]
+        for i, key in enumerate(order(variants)):
+            final = name
+            if i:
+                n = 2
+                while suffixed(name, n) in taken:
+                    n += 1
+                final = suffixed(name, n)
+                taken.add(final)
+            variants[key] = final
 
 
 def _merge_forms(defs):
@@ -153,88 +170,80 @@ def _merge_forms(defs):
 
 
 def merge(sources):
-    """Union of grammar fragments into one well-formed grammar."""
-    fragments = _fragments(sources)
+    """Union of grammar fragments into one well-formed grammar.
 
-    # global, order-independent rename plan for colliding oper definitions;
-    # suffixed names must also dodge every name already in use
-    oper_defs = {}
-    for _, opers, _, _ in fragments:
-        for oper, rendered in opers:
-            oper_defs.setdefault(oper.name, {})[rendered] = None
-    oper_final = {}
-    taken_opers = set(oper_defs)
-    for name in sorted(oper_defs):
-        for i, rendered in enumerate(sorted(oper_defs[name])):
-            if i == 0:
-                final = name
-            else:
-                n = 2
-                while _suffixed_oper_name(name, n) in taken_opers:
-                    n += 1
-                final = _suffixed_oper_name(name, n)
-                taken_opers.add(final)
-            oper_final[(name, rendered)] = final
+    Only a name that more than one source defines can collide, so only those
+    definitions are rendered and keyed; every other keeps its name.
+    """
+    fragments = [(src, _functions(src)) for src in sources]
+    oper_sources = Counter(name for src in sources for name in src.opers)
+    fun_sources = Counter(
+        name for _, functions in fragments for name in {f.name for _, _, f in functions}
+    )
+
+    # global, order-independent rename plan for colliding oper definitions
+    oper_variants = {}
+    rendered_opers = []
+    for src, _ in fragments:
+        rendered = {
+            name: render_expr(oper.definition)
+            for name, oper in src.opers.items()
+            if oper_sources[name] > 1
+        }
+        for name, text in rendered.items():
+            oper_variants.setdefault(name, {})[text] = None
+        rendered_opers.append(rendered)
+    _name_variants(oper_variants, set(oper_sources), _suffixed_oper_name, sorted)
 
     categories = {"Message"}
     lincats = {"Message": "Cl"}
     final_opers = {}
-    fun_defs = {}
+    fun_variants = {}
     staged = []
-    for functions, opers, fragment_categories, fragment_lincats in fragments:
-        categories |= fragment_categories
-        for cat, lin in fragment_lincats.items():
+    for (src, functions), rendered in zip(fragments, rendered_opers):
+        categories |= src.categories
+        for cat, lin in src.lincats.items():
             if lincats.setdefault(cat, lin) != lin:
                 raise ValueError("conflicting lincat for %s" % cat)
         oper_renames = {}
-        for oper, rendered in opers:
-            final = oper_final[(oper.name, rendered)]
-            if final != oper.name:
-                oper_renames[oper.name] = final
+        for name, oper in src.opers.items():
+            final = oper_variants[name][rendered[name]] if name in rendered else name
+            if final != name:
+                oper_renames[name] = final
             final_opers.setdefault(final, []).append(oper)
         bodies = {}  # a name defined twice keeps its first definition, as lookup does
         for _, _, fun in functions:
             if fun.name not in bodies:
                 lin = _rename_expr(fun.lin, oper_renames, {}) if oper_renames else fun.lin
-                bodies[fun.name] = (lin, (fun.arg_cats, fun.result, render_expr(lin)))
+                bodies[fun.name] = (fun, lin)
         keys = {}
-        renamed = []
-        for sid, intra, fun in functions:
-            key = _function_key(fun.name, bodies, keys)
-            renamed.append((sid, intra, fun, bodies[fun.name][0], key))
-            fun_defs.setdefault(fun.name, {})[key] = None
-        staged.append(renamed)
+        for name in bodies:
+            if fun_sources[name] > 1:
+                fun_variants.setdefault(name, {})[_function_key(name, bodies, keys)] = None
+        staged.append((functions, bodies, keys))
+    _name_variants(
+        fun_variants, set(fun_sources), _suffixed_fun_name, lambda keys: sorted(keys, key=repr)
+    )
 
-    taken_funs = set(fun_defs)
-    for name in sorted(fun_defs):
-        for i, key in enumerate(sorted(fun_defs[name], key=repr)):
-            if i == 0:
-                final = name
-            else:
-                n = 2
-                while "%s_%d" % (name, n) in taken_funs:
-                    n += 1
-                final = "%s_%d" % (name, n)
-                taken_funs.add(final)
-            fun_defs[name][key] = final
-
-    # identical functions collapse to one entry tagged with the least
-    # (sentence id, position), so fragment order cannot leak into the result
+    # a final name stands for one key, so for one body: identical functions
+    # collapse to the entry with the least (sentence id, position), so
+    # fragment order cannot leak into the result
     collapsed = {}
-    for renamed in staged:
-        local_funs = {fun.name: fun_defs[fun.name][key] for _, _, fun, _, key in renamed}
+    for functions, bodies, keys in staged:
+        local_funs = {
+            name: fun_variants[name][keys[name]] for name in bodies if fun_sources[name] > 1
+        }
         fun_renames = {name: final for name, final in local_funs.items() if final != name}
-        for sid, intra, fun, lin, (_, _, rendered, _) in renamed:
+        for sid, intra, fun in functions:
+            lin = bodies[fun.name][1]
             if fun_renames:
                 lin = _rename_expr(lin, {}, fun_renames)
-                rendered = render_expr(lin)
-            final_name = local_funs[fun.name]
+            final_name = local_funs.get(fun.name, fun.name)
             if final_name != fun.name or lin is not fun.lin:
                 fun = replace(fun, name=final_name, lin=lin)
-            key = (final_name, rendered)
             entry = (str(sid), intra, fun)
-            if key not in collapsed or entry[:2] < collapsed[key][:2]:
-                collapsed[key] = entry
+            if final_name not in collapsed or entry[:2] < collapsed[final_name][:2]:
+                collapsed[final_name] = entry
     functions = sorted(
         collapsed.values(), key=lambda item: (str(item[0]), item[1], item[2].name)
     )
@@ -242,6 +251,9 @@ def merge(sources):
     opers = {}
     for final, variants in final_opers.items():
         first = variants[0]
+        if len(variants) == 1 and first.name == final:
+            opers[final] = first
+            continue
         opers[final] = GfOper(
             name=final,
             category=first.category,

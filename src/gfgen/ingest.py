@@ -101,6 +101,11 @@ class SentenceFacts:
         """The sentence's atoms indexed for the rule engine, built on first use."""
         return engine.FactIndex(engine.sentence_atoms(self))
 
+    @cached_property
+    def model(self):
+        """The sentence program's model: structure readings and complements."""
+        return engine.derive(self.fact_index, engine.SENTENCE_RULES)
+
     def token(self, index):
         return self._by_index[index]
 

@@ -7,7 +7,6 @@ overlap and ROUGE-L the F1 over the longest common subsequence.
 """
 
 import math
-from collections import Counter
 
 STRIP_CHARS = ".,;:!?()[]{}\"'"
 
@@ -23,7 +22,10 @@ def tokenize(text):
 
 
 def _ngrams(tokens, n):
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    counts = {}
+    for gram in zip(*[tokens[i:] for i in range(n)]):
+        counts[gram] = counts.get(gram, 0) + 1
+    return counts
 
 
 def _precision(hyp_tokens, ref_tokens, n):
@@ -31,8 +33,8 @@ def _precision(hyp_tokens, ref_tokens, n):
     if not hyp:
         return 0.0
     ref = _ngrams(ref_tokens, n)
-    clipped = sum(min(count, ref[gram]) for gram, count in hyp.items())
-    return clipped / sum(hyp.values())
+    clipped = sum(min(count, ref.get(gram, 0)) for gram, count in hyp.items())
+    return clipped / (len(hyp_tokens) - n + 1)
 
 
 def bleu3(hypothesis, reference):
@@ -46,7 +48,9 @@ def bleu3(hypothesis, reference):
 
 
 def is_bleu_assessable(hypothesis, reference):
-    return all(_precision(hypothesis, reference, n) > 0.0 for n in (1, 2, 3))
+    # a shared trigram holds a shared bigram and unigram: all three precisions are nonzero
+    trigrams = set(zip(hypothesis, hypothesis[1:], hypothesis[2:]))
+    return not trigrams.isdisjoint(zip(reference, reference[1:], reference[2:]))
 
 
 def _f1(precision, recall):
@@ -60,8 +64,8 @@ def _rouge_n(hypothesis, reference, n):
     ref = _ngrams(reference, n)
     if not hyp or not ref:
         return 0.0
-    overlap = sum(min(count, hyp[gram]) for gram, count in ref.items())
-    return _f1(overlap / sum(hyp.values()), overlap / sum(ref.values()))
+    overlap = sum(min(count, hyp.get(gram, 0)) for gram, count in ref.items())
+    return _f1(overlap / (len(hypothesis) - n + 1), overlap / (len(reference) - n + 1))
 
 
 def _lcs_length(a, b):

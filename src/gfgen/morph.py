@@ -17,6 +17,8 @@ IRREGULAR_PLURALS = {
     "deer": "deer",
 }
 
+SINGULARS_OF_IRREGULAR_PLURALS = {v: k for k, v in IRREGULAR_PLURALS.items()}
+
 IRREGULAR_3SG = {
     "have": "has",
     "be": "is",
@@ -138,9 +140,8 @@ def verb_lemma_from_3sg(form):
 
 def noun_lemma_from_plural(form):
     """Fallback lemmatizer for nns-tagged nouns with no lemma column."""
-    inverse = {v: k for k, v in IRREGULAR_PLURALS.items()}
-    if form in inverse:
-        return inverse[form]
+    if form in SINGULARS_OF_IRREGULAR_PLURALS:
+        return SINGULARS_OF_IRREGULAR_PLURALS[form]
     if form.endswith("ies") and len(form) > 4:
         return form[:-3] + "y"
     if form.endswith("s") and not form.endswith("ss"):

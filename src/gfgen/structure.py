@@ -7,8 +7,6 @@ atom with the highest i-value is the most informative reading.
 
 from dataclasses import dataclass
 
-from . import engine
-
 # ties on i-value break toward the more specific triggering pattern
 SELECT_PRIORITY = (3, 2, 5, 4, 1)
 
@@ -27,11 +25,7 @@ class StructureAtom:
 
 def recognize(facts):
     """All structure readings of a sentence (empty set: unrecognized)."""
-    model = engine.derive_family(facts.fact_index, "structure")
-    return {
-        StructureAtom(kind=a.args[0], i_value=a.args[1])
-        for a in model.with_predicate("structure")
-    }
+    return {StructureAtom(*a.args) for a in facts.model.derived_with("structure")}
 
 
 def select(structures):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -153,3 +154,34 @@ def test_linearize_error_is_one_line_and_status_1(tmp_path, capsys, fixtures_dir
 def test_unknown_command_exits():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+# SHA-256 of each debug dump of each fixture file, frozen before the
+# structure and complement rules became one sentence program
+DUMP_SHA256 = {
+    ("bill_game.conllu", "components"): "0e4245fd7ed4fb3c539a9f0a3426877ae2102eaa40060884b7d02fe19e255ea9",
+    ("bill_game.conllu", "models"): "6a8edf184664d5c681cd7865406f4eb2ce8c3c6a01bf89302025b40a76673777",
+    ("bill_game.conllu", "structures"): "2d080a09a50b3e31c19695a2833d0872b90a1530bbac85c38aca4f6c18a9f9e7",
+    ("board_game.conllu", "components"): "a43a6823c5700a348398c86e14e2eecea5a3ccc4b4231ce17d4d07f2fdbce1ca",
+    ("board_game.conllu", "models"): "81935280a600b1ff0ca8bcc0b31dc8160a21dcbba13ae4a261928db95e3c9cf5",
+    ("board_game.conllu", "structures"): "bb2bc2e0106508e4a75c54af3156fe3287b709f9fe35f542a16be88c1dbaf4fc",
+    ("corpus/food_drink/sentences.conllu", "components"): "9475af0cef85fe047aa58a5558c56e195e83be52ebc4ab65e3636c700e56fd6e",
+    ("corpus/food_drink/sentences.conllu", "models"): "9035c3d863565ffc002b96e3b7da9509b2f102d92f80ac8af76c41c03ded42d8",
+    ("corpus/food_drink/sentences.conllu", "structures"): "5385d97e432258fed3760780fd37c1acdc80b1079b6d8a2394b1309964830696",
+    ("corpus/mathematics/sentences.conllu", "components"): "81bc0e8e4333238b0d070f3971b5cb526d0230d45bda34bc010a386e1405eb61",
+    ("corpus/mathematics/sentences.conllu", "models"): "7bcb305844af52ed79b5a3c1c8618711b865e6b3029d44b778ce537ebf415ee1",
+    ("corpus/mathematics/sentences.conllu", "structures"): "c3b242c56461f349ac570ee0d9c5bc44df28596ad066d4aa5f99b574d2758bd4",
+    ("corpus/people/sentences.conllu", "components"): "d8235f7faf474659ca0769bcd5338913c540bbfcd56d15cbafc1fe5f2b3f110e",
+    ("corpus/people/sentences.conllu", "models"): "c6645bf7ec22b5c1dc290f51f4106ffc37a180a8af8628de3acede8150b406f4",
+    ("corpus/people/sentences.conllu", "structures"): "e7743856864a5d5a83e0088459693a0a2bfb611311fbcc1d17a946ba03e2f5a8",
+    ("structures.conllu", "components"): "1131e152d663f909f078ca7934651b1aeb611a8d9d7541190f4924e455b75eaa",
+    ("structures.conllu", "models"): "60f164bcf9055f40e295d50cee9c839750c074cba60a35e9ba6a6c6f7d32d9fa",
+    ("structures.conllu", "structures"): "114b5677204e6d2f020a3a92d3028543e2d13bf8c43f93ac87a2533e05a2e2ad",
+}
+
+
+@pytest.mark.parametrize("path,kind", sorted(DUMP_SHA256))
+def test_dump_golden(capsys, fixtures_dir, path, kind):
+    assert main(["synthesize", str(fixtures_dir / path), "--dump-" + kind]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DUMP_SHA256[(path, kind)]

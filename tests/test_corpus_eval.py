@@ -1,4 +1,5 @@
 import csv
+import json
 import shutil
 import time
 
@@ -84,3 +85,14 @@ def test_report_csv_format(fixtures_dir, tmp_path):
     for row in rows[1:]:
         for cell in row[4:]:
             assert "." in cell and len(cell.split(".")[1]) == 1  # one decimal place
+
+
+def test_regenerate_matches_reference_hypotheses(fixtures_dir):
+    reference = fixtures_dir.parent / "bench" / "reference" / "hypotheses.json"
+    expected = json.loads(reference.read_text(encoding="utf-8"))
+    got = {
+        facts.sentence_id: regenerate(facts)
+        for path in sorted((fixtures_dir / "corpus").glob("*/*.conllu"))
+        for facts in parse_conllu_file(path)
+    }
+    assert got == expected

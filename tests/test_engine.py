@@ -6,7 +6,7 @@ from gfgen.engine import Atom, atom, bindings, derive, derive_family, is_variabl
 
 
 def structures(model):
-    return {a.args for a in model.with_predicate("structure")}
+    return {a.args for a in model.derived_with("structure")}
 
 
 BILL_FACTS = frozenset(
@@ -30,11 +30,9 @@ def test_bill_game_structures():
 
 
 def test_empty_fact_set():
-    for family in ("structure", "components"):
+    for family in engine.FAMILIES:
         model = derive_family(frozenset(), family)
         assert model.atoms == frozenset()
-    model = derive_family(frozenset(), "complements", pos=1)
-    assert model.atoms == frozenset()
 
 
 def test_copular_structures():
@@ -61,15 +59,15 @@ def test_complements_anchor_position():
             atom("amod", 10, 9),
         ]
     )
-    model = derive_family(facts, "complements", pos=6)
+    model = derive_family(facts, "complements")
     derived = {(a.predicate, a.args) for a in model.derived}
-    assert derived == {
+    assert {(p, args[1:]) for p, args in derived if args[0] == 6} == {
         ("adj_mod", (4,)),
         ("noun_compound", (5,)),
         ("preposition", (10, 7)),
     }
-    model10 = derive_family(facts, "complements", pos=10)
-    assert {(a.predicate, a.args) for a in model10.derived} == {("adj_mod", (9,))}
+    assert {(p, args[1:]) for p, args in derived if args[0] == 10} == {("adj_mod", (9,))}
+    assert {args[0] for _, args in derived} == {6, 10}
 
 
 def test_monotonicity():
@@ -123,8 +121,8 @@ def test_brute_force_grounder_equivalence():
         for i in range(1, n_tokens + 1):
             facts.add(atom("pos_tag", i, rng.choice(tags)))
         facts = frozenset(facts)
-        for family in ("structure", "components"):
-            rules = engine.FAMILIES[family]()
+        for family in ("structure", "components", "sentence"):
+            rules = engine.FAMILIES[family]
             assert derive(facts, rules).atoms == _brute_force(facts, rules), (
                 family,
                 sorted(map(str, facts)),
@@ -140,12 +138,8 @@ def test_complements_brute_force_equivalence():
             atom(rng.choice(relations), rng.randint(1, n_tokens), rng.randint(1, n_tokens))
             for _ in range(rng.randint(1, 14))
         )
-        for pos in range(1, n_tokens + 1):
-            rules = engine.complement_rules(pos)
-            assert derive(facts, rules).atoms == _brute_force(facts, rules), (
-                pos,
-                sorted(map(str, facts)),
-            )
+        rules = engine.COMPLEMENT_RULES
+        assert derive(facts, rules).atoms == _brute_force(facts, rules), sorted(map(str, facts))
 
 
 def test_recursive_rules_reach_the_fixpoint():

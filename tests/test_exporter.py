@@ -68,11 +68,13 @@ def test_merge_empty():
     assert "Message = Cl ;" in concrete
 
 
-def test_merge_singleton_preserves_content(bill_game_facts):
-    fragment = synthesize_sentence(bill_game_facts)
-    merged = merge([fragment])
-    assert sorted(merged.opers) == sorted(fragment.opers)
-    assert [f.name for _, _, f in merged.functions] == [f.name for f in fragment.functions]
+def test_merge_singleton_preserves_content(bill_game_facts, fixtures_dir):
+    for fragment in [synthesize_sentence(bill_game_facts)] + corpus_fragments(fixtures_dir):
+        merged = merge([fragment])
+        assert merged.opers == fragment.opers
+        assert merged.functions == [
+            (fragment.sentence_id, i, fun) for i, fun in enumerate(fragment.functions)
+        ]
 
 
 def test_conflicting_opers_get_suffixes():

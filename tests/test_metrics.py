@@ -1,14 +1,18 @@
-"""Metric tests against an independently written brute-force reference.
+"""Metric tests against independently written references.
 
-The reference implementation below deliberately avoids the library's
-Counter-based path: n-grams live in plain lists counted with list.count,
-and the LCS is a memoized recursion.
+The brute-force reference below deliberately avoids the library's n-gram
+dicts: n-grams live in plain lists counted with list.count, and the LCS is a
+memoized recursion.  The Counter-slice reference further down is the
+previous implementation, kept to show that scores stay bit-identical.
 """
 
 import math
 import random
+from collections import Counter
 from functools import lru_cache
 
+from gfgen.corpus_eval import regenerate
+from gfgen.ingest import parse_conllu_file
 from gfgen.metrics import bleu3, is_bleu_assessable, rouge, tokenize
 
 
@@ -190,3 +194,79 @@ def test_tokenize():
     assert tokenize("  Kevin   has_pets  Flossie. ") == ["kevin", "has_pets", "flossie"]
     assert tokenize("(rice, 741.5 tonnes)") == ["rice", "741.5", "tonnes"]
     assert tokenize("...") == []
+
+
+# --- Counter-slice reference: the exact arithmetic the scores must keep --------
+
+
+def cs_ngrams(tokens, n):
+    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+
+def cs_precision(hyp_tokens, ref_tokens, n):
+    hyp = cs_ngrams(hyp_tokens, n)
+    if not hyp:
+        return 0.0
+    ref = cs_ngrams(ref_tokens, n)
+    clipped = sum(min(count, ref[gram]) for gram, count in hyp.items())
+    return clipped / sum(hyp.values())
+
+
+def cs_bleu3(hypothesis, reference):
+    precisions = [cs_precision(hypothesis, reference, n) for n in (1, 2, 3)]
+    if any(p == 0.0 for p in precisions):
+        return 0.0
+    c, r = len(hypothesis), len(reference)
+    bp = 1.0 if c >= r else math.exp(1.0 - r / c)
+    return 100.0 * bp * math.exp(sum(math.log(p) for p in precisions) / 3.0)
+
+
+def cs_is_bleu_assessable(hypothesis, reference):
+    return all(cs_precision(hypothesis, reference, n) > 0.0 for n in (1, 2, 3))
+
+
+def cs_f1(precision, recall):
+    if precision + recall == 0.0:
+        return 0.0
+    return 2.0 * precision * recall / (precision + recall)
+
+
+def cs_rouge_n(hypothesis, reference, n):
+    hyp = cs_ngrams(hypothesis, n)
+    ref = cs_ngrams(reference, n)
+    if not hyp or not ref:
+        return 0.0
+    overlap = sum(min(count, hyp[gram]) for gram, count in ref.items())
+    return cs_f1(overlap / sum(hyp.values()), overlap / sum(ref.values()))
+
+
+def assert_same_scores(hyp, ref):
+    # ROUGE-L does not count n-grams; the brute-force tests above cover it
+    assert is_bleu_assessable(hyp, ref) == cs_is_bleu_assessable(hyp, ref), (hyp, ref)
+    assert bleu3(hyp, ref) == cs_bleu3(hyp, ref), (hyp, ref)
+    r1, r2, _ = rouge(hyp, ref)
+    assert (r1, r2) == (100.0 * cs_rouge_n(hyp, ref, 1), 100.0 * cs_rouge_n(hyp, ref, 2)), (
+        hyp,
+        ref,
+    )
+
+
+def test_scores_equal_counter_reference_on_random_pairs():
+    rng = random.Random(20261018)
+    for size in (2, 5, 11):
+        vocab = ["w%d" % i for i in range(size)]
+        for _ in range(34_000):
+            hyp = [rng.choice(vocab) for _ in range(rng.randint(0, 12))]
+            ref = [rng.choice(vocab) for _ in range(rng.randint(0, 12))]
+            assert_same_scores(hyp, ref)
+
+
+def test_scores_equal_counter_reference_on_corpus_pairs(fixtures_dir):
+    pairs = 0
+    for path in sorted((fixtures_dir / "corpus").glob("*/*.conllu")):
+        for facts in parse_conllu_file(path):
+            hypothesis = regenerate(facts)
+            if hypothesis is not None:
+                assert_same_scores(tokenize(hypothesis), tokenize(facts.source_text))
+                pairs += 1
+    assert pairs == 60

@@ -86,3 +86,48 @@ def test_corpus_recognition_counts(fixtures_dir):
     assert counts["people"] == (15, 15)
     assert counts["mathematics"] == (24, 22)
     assert counts["food_drink"] == (23, 23)
+
+
+# Relations named like derived predicates (structure, adj_mod, preposition)
+# must read as any other unknown relation does.
+NAMED_LIKE_DERIVED = """# sent_id = clash
+# text = Bill plays popular board games with friends.
+1\tBill\tBill\tPROPN\tNNP\t_\t2\tnsubj\t_\t_
+2\tplays\tplay\tVERB\tVBZ\t_\t0\troot\t_\t_
+3\tpopular\tpopular\tADJ\tJJ\t_\t5\tamod\t_\t_
+4\tboard\tboard\tNOUN\tNN\t_\t5\tcompound\t_\t_
+5\tgames\tgame\tNOUN\tNNS\t_\t2\tdobj\t_\t_
+6\twith\twith\tADP\tIN\t_\t7\tcase\t_\t_
+7\tfriends\tfriend\tNOUN\tNNS\t_\t5\tnmod\t_\t_
+8\ttoday\ttoday\tNOUN\tNN\t_\t2\tstructure\t_\t_
+9\treally\treally\tADV\tRB\t_\t3\tadj_mod\t_\t_
+10\tthere\tthere\tADV\tRB\t_\t7\tpreposition\t_\t_
+11\t.\t.\tPUNCT\t.\t_\t2\tpunct\t_\t_
+"""
+
+
+def test_relations_named_like_derived_predicates(tmp_path, capsys):
+    from gfgen.cli import main
+    from gfgen.components import build_chunk, main_components
+    from gfgen.encoder import fragment_to_dict, synthesize_sentence
+    from gfgen.ingest import parse_conllu
+
+    neutral = NAMED_LIKE_DERIVED
+    for relation in ("structure", "adj_mod", "preposition"):
+        neutral = neutral.replace("\t%s\t" % relation, "\tdep\t")
+    (clash,) = parse_conllu(NAMED_LIKE_DERIVED)
+    (plain,) = parse_conllu(neutral)
+    assert pairs(recognize(clash)) == pairs(recognize(plain)) == {(1, 1), (2, 2)}
+    selected = select(recognize(clash))
+    roles = main_components(clash, selected)
+    assert roles == main_components(plain, selected)
+    for head in roles.as_dict().values():
+        assert build_chunk(clash, head) == build_chunk(plain, head)
+    assert build_chunk(clash, 3).attachments == ()
+    assert fragment_to_dict(synthesize_sentence(clash)) == fragment_to_dict(
+        synthesize_sentence(plain)
+    )
+    path = tmp_path / "clash.conllu"
+    path.write_text(NAMED_LIKE_DERIVED, encoding="utf-8")
+    assert main(["synthesize", str(path), "--dump-structures"]) == 0
+    assert capsys.readouterr().out == "clash\t2\t2\n"
