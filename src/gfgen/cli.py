@@ -86,6 +86,23 @@ def _cmd_synthesize(args):
     return 0
 
 
+class CommandError(Exception):
+    """A failure the command reports as one ``gfgen: ...`` line and exit status 1."""
+
+
+def _read_fragment(path):
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise CommandError("%s: %s" % (path, exc.strerror))
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise CommandError("%s: not JSON: %s" % (path, exc))
+    try:
+        return fragment_from_dict(data)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise CommandError("%s: not a fragment (%s: %s)" % (path, type(exc).__name__, exc))
+
+
 def _load_fragments(paths):
     files = []
     for p in paths:
@@ -94,9 +111,7 @@ def _load_fragments(paths):
             files.extend(sorted(path.glob("*.json")))
         else:
             files.append(path)
-    return [
-        fragment_from_dict(json.loads(path.read_text(encoding="utf-8"))) for path in files
-    ]
+    return [_read_fragment(path) for path in files]
 
 
 def _cmd_export(args):
@@ -105,8 +120,11 @@ def _cmd_export(args):
     abstract, concrete = render(grammar, name.name)
     abstract_path = name.with_name(name.name + ".gf")
     concrete_path = name.with_name(name.name + "Eng.gf")
-    abstract_path.write_text(abstract, encoding="utf-8")
-    concrete_path.write_text(concrete, encoding="utf-8")
+    try:
+        abstract_path.write_text(abstract, encoding="utf-8")
+        concrete_path.write_text(concrete, encoding="utf-8")
+    except OSError as exc:
+        raise CommandError("%s: %s" % (exc.filename, exc.strerror))
     print("wrote %s and %s" % (abstract_path, concrete_path), file=sys.stderr)
     return 0
 
@@ -116,8 +134,7 @@ def _cmd_linearize(args):
     try:
         text = linearize(grammar, args.fun, args=args.args or [], period=args.period)
     except (LookupError_, RealizeTypeError) as exc:
-        print("gfgen: %s" % exc.args[0], file=sys.stderr)
-        return 1
+        raise CommandError(exc.args[0])
     print(text)
     return 0
 
@@ -206,7 +223,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CommandError as exc:
+        print("gfgen: %s" % exc, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -11,6 +11,12 @@ attachments into NP-modifying adverbs, conjunctions into NP lists.
 Number (for bare mkNP nodes) and observed verb forms ride along as metadata
 on the expression nodes; they guide the built-in realizer and are invisible
 in rendered grammar text.
+
+A fragment is written as JSON.  Decoding shares what repeats from sentence to
+sentence: equal leaves (strings and references) and equal opers decode to one
+object from a process-wide table, so the tables grow with the vocabulary, not
+with the number of fragments read.  Encoding builds each sentence's own
+objects.
 """
 
 import re
@@ -39,7 +45,7 @@ class NotEncodable(ValueError):
 # --- constructor expressions -------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App:
     fn: str
     args: tuple
@@ -47,13 +53,13 @@ class App:
     forms: tuple = ()  # observed inflections, e.g. (("part", "made"),)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ref:
     name: str
     kind: str  # "oper" | "fun" | "arg"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lit:
     text: str
 
@@ -74,14 +80,14 @@ def arg_ref(name):
     return Ref(name, "arg")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GfOper:
     name: str
     category: str
     definition: App
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GfFunction:
     name: str
     arg_names: tuple
@@ -531,17 +537,56 @@ def expr_to_dict(expr):
     return d
 
 
+def function_to_dict(fun):
+    return {
+        "name": fun.name,
+        "args": [{"name": n, "cat": c} for n, c in zip(fun.arg_names, fun.arg_cats)],
+        "result": fun.result,
+        "lin": expr_to_dict(fun.lin),
+    }
+
+
+def oper_to_dict(oper):
+    return {"name": oper.name, "category": oper.category, "definition": expr_to_dict(oper.definition)}
+
+
+# Decoded leaves and opers, shared by every decoded fragment: a leaf is looked
+# up by its text or (name, kind) before it is built, an oper by its value.
+# Both hold immutable values and grow with the vocabulary, not the fragments.
+_LEAVES = {}
+_OPERS = {}
+
+
 def expr_from_dict(d):
     if "str" in d:
-        return Lit(d["str"])
+        key = d["str"]
+        return _LEAVES.get(key) or _LEAVES.setdefault(key, Lit(key))
     if "ref" in d:
-        return Ref(d["ref"], d["kind"])
+        key = (d["ref"], d["kind"])
+        return _LEAVES.get(key) or _LEAVES.setdefault(key, Ref(*key))
+    forms = d.get("forms")
     return App(
-        fn=d["app"],
-        args=tuple(expr_from_dict(a) for a in d["args"]),
-        num=d.get("num"),
-        forms=tuple(sorted(d.get("forms", {}).items())),
+        d["app"],
+        tuple(map(expr_from_dict, d["args"])),
+        d.get("num"),
+        tuple(sorted(forms.items())) if forms else (),
     )
+
+
+def function_from_dict(f):
+    args = f["args"]
+    return GfFunction(
+        f["name"],
+        tuple(a["name"] for a in args),
+        tuple(a["cat"] for a in args),
+        f["result"],
+        expr_from_dict(f["lin"]),
+    )
+
+
+def oper_from_dict(o):
+    oper = GfOper(o["name"], o["category"], expr_from_dict(o["definition"]))
+    return _OPERS.setdefault(oper, oper)
 
 
 def fragment_to_dict(grammar):
@@ -550,46 +595,17 @@ def fragment_to_dict(grammar):
         "source_text": grammar.source_text,
         "categories": sorted(grammar.categories),
         "lincats": dict(sorted(grammar.lincats.items())),
-        "functions": [
-            {
-                "name": f.name,
-                "args": [
-                    {"name": n, "cat": c} for n, c in zip(f.arg_names, f.arg_cats)
-                ],
-                "result": f.result,
-                "lin": expr_to_dict(f.lin),
-            }
-            for f in grammar.functions
-        ],
-        "opers": [
-            {
-                "name": o.name,
-                "category": o.category,
-                "definition": expr_to_dict(o.definition),
-            }
-            for o in sorted(grammar.opers.values(), key=lambda o: o.name)
-        ],
+        "functions": [function_to_dict(f) for f in grammar.functions],
+        "opers": [oper_to_dict(o) for o in sorted(grammar.opers.values(), key=lambda o: o.name)],
     }
 
 
 def fragment_from_dict(d):
-    grammar = SentenceGrammar(
-        sentence_id=d["sentence_id"], source_text=d.get("source_text", "")
+    return SentenceGrammar(
+        sentence_id=d["sentence_id"],
+        source_text=d.get("source_text", ""),
+        categories=set(d["categories"]),
+        lincats=dict(d["lincats"]),
+        functions=list(map(function_from_dict, d["functions"])),
+        opers={o["name"]: oper_from_dict(o) for o in d["opers"]},
     )
-    grammar.categories = set(d["categories"])
-    grammar.lincats = dict(d["lincats"])
-    for f in d["functions"]:
-        grammar.functions.append(
-            GfFunction(
-                name=f["name"],
-                arg_names=tuple(a["name"] for a in f["args"]),
-                arg_cats=tuple(a["cat"] for a in f["args"]),
-                result=f["result"],
-                lin=expr_from_dict(f["lin"]),
-            )
-        )
-    for o in d["opers"]:
-        grammar.opers[o["name"]] = GfOper(
-            name=o["name"], category=o["category"], definition=expr_from_dict(o["definition"])
-        )
-    return grammar

@@ -11,7 +11,17 @@ rendered and compared.
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
-from .encoder import App, GfFunction, GfOper, Lit, Ref, SentenceGrammar
+from .encoder import (
+    App,
+    GfOper,
+    Lit,
+    Ref,
+    SentenceGrammar,
+    function_from_dict,
+    function_to_dict,
+    oper_from_dict,
+    oper_to_dict,
+)
 
 
 class LookupError_(KeyError):
@@ -181,17 +191,21 @@ def merge(sources):
         name for _, functions in fragments for name in {f.name for _, _, f in functions}
     )
 
-    # global, order-independent rename plan for colliding oper definitions
+    # global, order-independent rename plan for colliding oper definitions;
+    # decoded fragments share opers, so each object is rendered once, keyed by
+    # id: the sources keep every oper alive, so no id is reused within the call
+    texts = {}
     oper_variants = {}
     rendered_opers = []
     for src, _ in fragments:
-        rendered = {
-            name: render_expr(oper.definition)
-            for name, oper in src.opers.items()
-            if oper_sources[name] > 1
-        }
-        for name, text in rendered.items():
-            oper_variants.setdefault(name, {})[text] = None
+        rendered = {}
+        for name, oper in src.opers.items():
+            if oper_sources[name] > 1:
+                text = texts.get(id(oper))
+                if text is None:
+                    text = texts[id(oper)] = render_expr(oper.definition)
+                rendered[name] = text
+                oper_variants.setdefault(name, {})[text] = None
         rendered_opers.append(rendered)
     _name_variants(oper_variants, set(oper_sources), _suffixed_oper_name, sorted)
 
@@ -210,7 +224,7 @@ def merge(sources):
             final = oper_variants[name][rendered[name]] if name in rendered else name
             if final != name:
                 oper_renames[name] = final
-            final_opers.setdefault(final, []).append(oper)
+            final_opers.setdefault(final, {})[id(oper)] = oper
         bodies = {}  # a name defined twice keeps its first definition, as lookup does
         for _, _, fun in functions:
             if fun.name not in bodies:
@@ -249,7 +263,8 @@ def merge(sources):
     )
 
     opers = {}
-    for final, variants in final_opers.items():
+    for final, by_id in final_opers.items():
+        variants = list(by_id.values())  # one entry per distinct object
         first = variants[0]
         if len(variants) == 1 and first.name == final:
             opers[final] = first
@@ -312,61 +327,26 @@ def render(grammar, name):
 
 
 def grammar_to_dict(grammar):
-    from .encoder import expr_to_dict
-
     return {
         "start_category": grammar.start_category,
         "categories": sorted(grammar.categories),
         "lincats": dict(sorted(grammar.lincats.items())),
         "functions": [
-            {
-                "sentence_id": sid,
-                "intra": intra,
-                "name": f.name,
-                "args": [{"name": n, "cat": c} for n, c in zip(f.arg_names, f.arg_cats)],
-                "result": f.result,
-                "lin": expr_to_dict(f.lin),
-            }
+            {"sentence_id": sid, "intra": intra, **function_to_dict(f)}
             for sid, intra, f in grammar.functions
         ],
-        "opers": [
-            {
-                "name": o.name,
-                "category": o.category,
-                "definition": expr_to_dict(o.definition),
-            }
-            for o in sorted(grammar.opers.values(), key=lambda o: o.name)
-        ],
+        "opers": [oper_to_dict(o) for o in sorted(grammar.opers.values(), key=lambda o: o.name)],
     }
 
 
 def grammar_from_dict(d):
-    from .encoder import expr_from_dict
-
-    functions = [
-        (
-            f.get("sentence_id", ""),
-            f.get("intra", 0),
-            GfFunction(
-                name=f["name"],
-                arg_names=tuple(a["name"] for a in f["args"]),
-                arg_cats=tuple(a["cat"] for a in f["args"]),
-                result=f["result"],
-                lin=expr_from_dict(f["lin"]),
-            ),
-        )
-        for f in d["functions"]
-    ]
-    opers = {
-        o["name"]: GfOper(
-            name=o["name"], category=o["category"], definition=expr_from_dict(o["definition"])
-        )
-        for o in d["opers"]
-    }
     return GfGrammar(
         start_category=d.get("start_category", "Message"),
         categories=set(d["categories"]),
         lincats=dict(d["lincats"]),
-        functions=functions,
-        opers=opers,
+        functions=[
+            (f.get("sentence_id", ""), f.get("intra", 0), function_from_dict(f))
+            for f in d["functions"]
+        ],
+        opers={o["name"]: oper_from_dict(o) for o in d["opers"]},
     )

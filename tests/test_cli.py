@@ -151,6 +151,42 @@ def test_linearize_error_is_one_line_and_status_1(tmp_path, capsys, fixtures_dir
     assert captured.err == message + "\n"
 
 
+BAD_FRAGMENTS = {
+    "not_json.json": ("not json\n", "not JSON: Expecting value: line 1 column 1 (char 0)"),
+    "not_fragment.json": ('{"sentence_id": "x"}\n', "not a fragment (KeyError: 'categories')"),
+    "missing.json": (None, "No such file or directory"),
+}
+
+
+@pytest.mark.parametrize("command", ["export", "linearize"])
+@pytest.mark.parametrize("filename", sorted(BAD_FRAGMENTS))
+def test_bad_fragment_is_one_line_and_status_1(tmp_path, capsys, command, filename):
+    text, reason = BAD_FRAGMENTS[filename]
+    path = tmp_path / filename
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    if command == "export":
+        argv = ["export", str(path), "-o", str(tmp_path / "W")]
+    else:
+        argv = ["linearize", "--grammar", str(path), "--fun", "sent_x"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "gfgen: %s: %s\n" % (path, reason)
+    assert not (tmp_path / "W.gf").exists()
+
+
+def test_export_into_missing_directory_is_one_line_and_status_1(tmp_path, capsys, fixtures_dir):
+    outdir = tmp_path / "frags"
+    main(["synthesize", str(fixtures_dir / "bill_game.conllu"), "-o", str(outdir)])
+    capsys.readouterr()
+    target = tmp_path / "no_such_dir" / "W"
+    assert main(["export", str(outdir), "-o", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "gfgen: %s.gf: No such file or directory\n" % target
+
+
 def test_unknown_command_exits():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -14,7 +14,9 @@ from gfgen.encoder import (
     arg_ref,
     encode_np,
     encode_vp,
+    expr_from_dict,
     expr_opers,
+    expr_to_dict,
     fragment_from_dict,
     fragment_to_dict,
     infer_category,
@@ -224,6 +226,36 @@ def test_fragment_roundtrip(board_game_facts):
     fragment = synthesize_sentence(board_game_facts)
     restored = fragment_from_dict(fragment_to_dict(fragment))
     assert render(merge([restored]), "G") == render(merge([fragment]), "G")
+
+
+def test_every_fixture_fragment_decodes_to_itself(fixtures_dir):
+    fragments = [
+        fragment
+        for path in sorted(fixtures_dir.rglob("*.conllu"))
+        for fragment in map(synthesize_sentence, parse_conllu_file(path))
+        if fragment is not None
+    ]
+    assert len(fragments) == 67
+    for fragment in fragments:
+        assert fragment_from_dict(fragment_to_dict(fragment)) == fragment
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        Lit(""),
+        arg_ref("a1"),
+        app("mkNP", oper_ref("game_N"), num="pl"),
+        app("mkV2", Lit("make"), forms=(("part", "made"), ("third", "makes"))),
+    ],
+    ids=["empty_lit", "arg_ref", "app_num", "app_forms"],
+)
+def test_edge_expression_round_trip(expr):
+    assert expr_from_dict(json.loads(json.dumps(expr_to_dict(expr)))) == expr
+
+
+def test_empty_string_decodes_to_lit():
+    assert expr_from_dict({"str": ""}) == Lit("")
 
 
 def test_sanitize_ident():

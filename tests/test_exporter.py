@@ -1,14 +1,21 @@
+import dataclasses
 import hashlib
+import json
 import random
 
 import pytest
 
+from gfgen import encoder
 from gfgen.encoder import (
+    App,
     GfFunction,
     GfOper,
     Lit,
+    Ref,
     SentenceGrammar,
     app,
+    fragment_from_dict,
+    fragment_to_dict,
     fun_ref,
     oper_ref,
     synthesize_sentence,
@@ -25,12 +32,15 @@ from gfgen.ingest import parse_conllu, parse_conllu_file
 from gfgen.linearizer import linearize
 
 
-def corpus_fragments(fixtures_dir):
+def corpus_fragments(fixtures_dir, suffix=""):
+    """The encoder's fragment of every corpus sentence, under the id <id><suffix>."""
     fragments = []
     for portal in ("people", "mathematics", "food_drink"):
         for facts in parse_conllu_file(
             fixtures_dir / "corpus" / portal / "sentences.conllu"
         ):
+            if suffix:
+                facts = dataclasses.replace(facts, sentence_id=facts.sentence_id + suffix)
             fragment = synthesize_sentence(facts)
             if fragment is not None:
                 fragments.append(fragment)
@@ -77,9 +87,26 @@ def test_merge_singleton_preserves_content(bill_game_facts, fixtures_dir):
         ]
 
 
+def decoded(fragments):
+    """The fragments as ``gfgen export`` reads them: through their JSON text."""
+    return [fragment_from_dict(json.loads(json.dumps(fragment_to_dict(f)))) for f in fragments]
+
+
 def test_conflicting_opers_get_suffixes():
-    a = _simple_fragment("a", "bank", "river bank")
-    b = _simple_fragment("b", "bank", "money bank")
+    _check_conflicting_opers(
+        _simple_fragment("a", "bank", "river bank"), _simple_fragment("b", "bank", "money bank")
+    )
+
+
+def test_conflicting_decoded_opers_get_suffixes():
+    _check_conflicting_opers(
+        *decoded(
+            [_simple_fragment("a", "bank", "river bank"), _simple_fragment("b", "bank", "money bank")]
+        )
+    )
+
+
+def _check_conflicting_opers(a, b):
     merged = merge([a, b])
     assert sorted(merged.opers) == ["bank_2_N", "bank_N"]
     # references follow the rename
@@ -142,6 +169,51 @@ def test_merge_duplicate_fragment_list(fixtures_dir):
 def test_merged_corpus_golden(fixtures_dir):
     abstract, concrete = render(merge(corpus_fragments(fixtures_dir)), "Wiki")
     assert len(abstract + concrete) == 24469
+    assert (
+        hashlib.sha256((abstract + concrete).encode()).hexdigest()
+        == "d7a103b089411bec3a823020cc67c039896cb7e195dee1cc41d0f59b5149bbb6"
+    )
+
+
+def _leaves(expr):
+    if isinstance(expr, App):
+        return [leaf for a in expr.args for leaf in _leaves(a)]
+    return [expr]
+
+
+def test_decoded_replicas_share_opers_and_leaves(fixtures_dir):
+    first = decoded(corpus_fragments(fixtures_dir, "_ra"))
+    second = decoded(corpus_fragments(fixtures_dir, "_rb"))
+    for a, b in zip(first, second, strict=True):
+        assert a.sentence_id != b.sentence_id
+        assert a.opers.keys() == b.opers.keys()
+        for name, oper in a.opers.items():
+            assert b.opers[name] is oper
+    # equal leaves are one object, within a fragment and across fragments
+    leaves = {}
+    for fragment in first + second:
+        exprs = [f.lin for f in fragment.functions] + [o.definition for o in fragment.opers.values()]
+        for leaf in (leaf for expr in exprs for leaf in _leaves(expr)):
+            assert leaves.setdefault(leaf, leaf) is leaf
+    assert {type(leaf) for leaf in leaves} == {Lit, Ref}
+
+
+def test_shared_tables_grow_with_vocabulary_not_fragments(fixtures_dir):
+    decoded(corpus_fragments(fixtures_dir, "_r00"))
+    sizes = len(encoder._LEAVES), len(encoder._OPERS)
+    for r in range(1, 5):
+        decoded(corpus_fragments(fixtures_dir, "_r%02d" % r))
+    assert (len(encoder._LEAVES), len(encoder._OPERS)) == sizes
+
+
+def test_merge_of_decoded_fragments_matches_encoder_built(fixtures_dir):
+    built = corpus_fragments(fixtures_dir, "_r00") + corpus_fragments(fixtures_dir, "_r01")
+    assert render(merge(decoded(built)), "Wiki") == render(merge(built), "Wiki")
+
+
+def test_merge_of_decoded_corpus_matches_golden(fixtures_dir):
+    abstract, concrete = render(merge(decoded(corpus_fragments(fixtures_dir))), "Wiki")
+    # the digest test_merged_corpus_golden pins for the encoder-built fragments
     assert (
         hashlib.sha256((abstract + concrete).encode()).hexdigest()
         == "d7a103b089411bec3a823020cc67c039896cb7e195dee1cc41d0f59b5149bbb6"
