@@ -8,7 +8,7 @@ from pathlib import Path
 from . import corpus_eval, engine, verbalizer
 from .components import build_chunk, main_components
 from .encoder import fragment_from_dict, fragment_to_dict, synthesize_sentence
-from .exporter import merge, render
+from .exporter import MergeConflict, merge, render
 from .ingest import facts_to_text, parse_conllu_file
 from .linearizer import LookupError_, RealizeTypeError, linearize
 from .structure import recognize, select
@@ -103,7 +103,7 @@ def _read_fragment(path):
         raise CommandError("%s: not a fragment (%s: %s)" % (path, type(exc).__name__, exc))
 
 
-def _load_fragments(paths):
+def _merged_fragments(paths):
     files = []
     for p in paths:
         path = Path(p)
@@ -111,11 +111,14 @@ def _load_fragments(paths):
             files.extend(sorted(path.glob("*.json")))
         else:
             files.append(path)
-    return [_read_fragment(path) for path in files]
+    try:
+        return merge([_read_fragment(path) for path in files])
+    except MergeConflict as exc:
+        raise CommandError(exc)
 
 
 def _cmd_export(args):
-    grammar = merge(_load_fragments(args.fragments))
+    grammar = _merged_fragments(args.fragments)
     name = Path(args.output)
     abstract, concrete = render(grammar, name.name)
     abstract_path = name.with_name(name.name + ".gf")
@@ -130,7 +133,7 @@ def _cmd_export(args):
 
 
 def _cmd_linearize(args):
-    grammar = merge(_load_fragments(args.grammar))
+    grammar = _merged_fragments(args.grammar)
     try:
         text = linearize(grammar, args.fun, args=args.args or [], period=args.period)
     except (LookupError_, RealizeTypeError) as exc:
@@ -139,17 +142,28 @@ def _cmd_linearize(args):
     return 0
 
 
+def _parse_file(parse, path):
+    """``parse`` of a UTF-8 file's text; a file it cannot read or parse is a CommandError."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise CommandError("%s: %s" % (path, exc.strerror))
+    except ValueError as exc:  # bad UTF-8 or a malformed record
+        raise CommandError("%s: %s" % (path, exc))
+
+
 def _cmd_verbalize(args):
-    annotations = verbalizer.load_annotations(
-        Path(args.annotations).read_text(encoding="utf-8")
-    )
-    if args.atoms:
-        atoms = verbalizer.parse_atoms(Path(args.atoms).read_text(encoding="utf-8"))
-        print(verbalizer.verbalize_atoms(atoms, annotations))
-    if args.triples:
-        triples = verbalizer.parse_triples(Path(args.triples).read_text(encoding="utf-8"))
-        for sentence in verbalizer.verbalize_triples(triples, annotations):
-            print(sentence)
+    annotations = _parse_file(verbalizer.load_annotations, args.annotations)
+    try:
+        if args.atoms:
+            atoms = _parse_file(verbalizer.parse_atoms, args.atoms)
+            print(verbalizer.verbalize_atoms(atoms, annotations))
+        if args.triples:
+            triples = _parse_file(verbalizer.parse_triples, args.triples)
+            for sentence in verbalizer.verbalize_triples(triples, annotations):
+                print(sentence)
+    except verbalizer.MissingAnnotations as exc:
+        raise CommandError(exc.args[0])
     return 0
 
 

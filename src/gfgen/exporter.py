@@ -28,6 +28,10 @@ class LookupError_(KeyError):
     """Unknown function or oper name in a grammar."""
 
 
+class MergeConflict(ValueError):
+    """Two merge sources give one category different lincats."""
+
+
 _REQUIRED = object()
 
 
@@ -35,8 +39,11 @@ _REQUIRED = object()
 class GfGrammar:
     """A complete grammar.
 
-    The name index behind ``function`` is built once, at construction, so
-    ``functions`` must not change afterwards.
+    The name index behind ``function`` is built once, at construction, and
+    the linearizer keeps each oper's and function's value or plan in
+    ``_values`` from its first use on, so neither ``functions`` nor ``opers``
+    may change afterwards.  An entry is computed from those definitions
+    alone, so threads that race on it can only store the same value twice.
     """
 
     start_category: str = "Message"
@@ -45,9 +52,11 @@ class GfGrammar:
     functions: list = field(default_factory=list)  # (sentence_id, intra_index, GfFunction)
     opers: dict = field(default_factory=dict)
     _by_name: dict = field(init=False, repr=False, compare=False)
+    _values: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._by_name = {}
+        self._values = {}
         for _, _, fun in self.functions:
             self._by_name.setdefault(fun.name, fun)
 
@@ -218,7 +227,7 @@ def merge(sources):
         categories |= src.categories
         for cat, lin in src.lincats.items():
             if lincats.setdefault(cat, lin) != lin:
-                raise ValueError("conflicting lincat for %s" % cat)
+                raise MergeConflict("conflicting lincat for %s" % cat)
         oper_renames = {}
         for name, oper in src.opers.items():
             final = oper_variants[name][rendered[name]] if name in rendered else name

@@ -6,9 +6,19 @@ subject noun phrase; number for bare mkNP nodes comes from the encoder's
 node metadata (default singular); copulas, "to" and list commas are the only
 inserted material.  Output is verbatim lexeme text: no capitalization, no
 articles, single spaces.
+
+One rule table, ``_RULES``, keyed by constructor and argument value types,
+realizes every node.  Values are kept per grammar: an oper (ambient ones
+included) or a function without arguments is evaluated on first use only.  A
+function with arguments is compiled once per grammar into a plan that folds
+its argument-free subexpressions to values and closes over the arguments for
+the rest; ``linearize_expr`` uses the same compile step.  No error is stored,
+so a dangling reference or an ill-typed node raises on every use.  Each entry
+is computed from immutable definitions alone, so a race only recomputes it.
 """
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import morph
 from .encoder import App, Lit, Ref, ambient_category
@@ -151,7 +161,7 @@ def _be(number):
 
 
 def _join(parts):
-    return " ".join(p for p in parts if p)
+    return " ".join(filter(None, parts))
 
 
 def _verb_lex(lemma, forms):
@@ -165,83 +175,69 @@ def _conj_join(items, word):
     return ", ".join(items[:-1]) + " " + word + " " + items[-1]
 
 
-def _apply(fn, values, num):
-    types = tuple(type(v) for v in values)
-    if fn == "mkCl":
-        subj, pred = values
-        if types == (NPv, VPv):
-            return _join([subj.text, pred.realize(subj.number)])
-        if types == (NPv, APv):
-            return _join([subj.text, _be(subj.number), pred.text])
-        if types == (NPv, NPv):
-            return _join([subj.text, _be(subj.number), pred.text])
-    elif fn == "mkVP":
-        if types == (V2v, NPv):
-            return VPv(kind="v2", verb=values[0].verb, obj=values[1])
-        if types == (Vv,):
-            return VPv(kind="v", verb=values[0].verb)
-        if types == (VVv, VPv):
-            return VPv(kind="vv", verb=values[0].verb, inner=values[1])
-        if types == (VPv, Advv):
-            vp = values[0]
-            return VPv(
-                kind=vp.kind,
-                verb=vp.verb,
-                obj=vp.obj,
-                inner=vp.inner,
-                advs=vp.advs + (values[1].text,),
-            )
-    elif fn == "passiveVP":
-        if types == (V2v,):
-            return VPv(kind="passive", verb=values[0].verb)
-    elif fn == "mkNP":
-        if types in ((Nv,), (CNv,)):
-            form = values[0].plural if num == "pl" else values[0].singular
-            return NPv(text=form, number=num or "sg")
-        if types == (NPv, Advv):
-            return NPv(text=_join([values[0].text, values[1].text]), number=values[0].number)
-        if types == (Conjv, ListNPv):
-            texts = [np.text for np in values[1].items]
-            return NPv(text=_conj_join(texts, values[0].text), number="pl")
-    elif fn == "mkCN":
-        if types == (Nv,):
-            return CNv(values[0].singular, values[0].plural)
-        if types in ((APv, Nv), (APv, CNv)):
-            ap, noun = values
-            return CNv(_join([ap.text, noun.singular]), _join([ap.text, noun.plural]))
-    elif fn == "mkAP":
-        if types == (Av,):
-            return APv(values[0].text)
-        if types == (AdAv, APv):
-            return APv(_join([values[0].text, values[1].text]))
-    elif fn in ("mkAdv", "ConstructorsEng.mkAdv"):
-        if types == (str,):
-            return Advv(values[0])
-        if types == (Prepv, NPv):
-            return Advv(_join([values[0].text, values[1].text]))
-    elif fn == "mkListNP":
-        if types == (NPv, NPv):
-            return ListNPv((values[0], values[1]))
-        if types == (NPv, ListNPv):
-            return ListNPv((values[0],) + values[1].items)
-    elif fn == "mkN":
-        if types == (str,):
-            return Nv(values[0], morph.pluralize_noun(values[0]))
-        if types == (str, str):
-            return Nv(values[0], values[1])
-    elif fn == "mkA":
-        if types == (str,):
-            return Av(values[0])
-    elif fn == "mkAdA":
-        if types == (str,):
-            return AdAv(values[0])
-    elif fn == "mkPrep":
-        if types == (str,):
-            return Prepv(values[0])
-    elif fn == "mkConj":
-        if types == (str,):
-            return Conjv(values[0])
-    raise RealizeTypeError("no realization of %s over %s" % (fn, types))
+_VERBS = {"mkV2": V2v, "mkV": Vv, "mkVV": VVv}
+
+# (constructor, *argument value types) -> realization(node, *values); a
+# literal's value is its str
+_RULES = {
+    ("mkCl", NPv, VPv): lambda node, subj, pred: _join([subj.text, pred.realize(subj.number)]),
+    **dict.fromkeys(
+        [("mkCl", NPv, APv), ("mkCl", NPv, NPv)],
+        lambda node, subj, pred: _join([subj.text, _be(subj.number), pred.text]),
+    ),
+    ("mkVP", V2v, NPv): lambda node, v, obj: VPv(kind="v2", verb=v.verb, obj=obj),
+    ("mkVP", Vv): lambda node, v: VPv(kind="v", verb=v.verb),
+    ("mkVP", VVv, VPv): lambda node, v, inner: VPv(kind="vv", verb=v.verb, inner=inner),
+    ("mkVP", VPv, Advv): lambda node, vp, adv: VPv(
+        kind=vp.kind, verb=vp.verb, obj=vp.obj, inner=vp.inner, advs=vp.advs + (adv.text,)
+    ),
+    ("passiveVP", V2v): lambda node, v: VPv(kind="passive", verb=v.verb),
+    **dict.fromkeys(
+        [("mkNP", Nv), ("mkNP", CNv)],
+        lambda node, noun: NPv(
+            text=noun.plural if node.num == "pl" else noun.singular, number=node.num or "sg"
+        ),
+    ),
+    ("mkNP", NPv, Advv): lambda node, np, adv: NPv(_join([np.text, adv.text]), np.number),
+    ("mkNP", Conjv, ListNPv): lambda node, conj, nps: NPv(
+        text=_conj_join([np.text for np in nps.items], conj.text), number="pl"
+    ),
+    ("mkCN", Nv): lambda node, noun: CNv(noun.singular, noun.plural),
+    **dict.fromkeys(
+        [("mkCN", APv, Nv), ("mkCN", APv, CNv)],
+        lambda node, ap, noun: CNv(_join([ap.text, noun.singular]), _join([ap.text, noun.plural])),
+    ),
+    ("mkAP", Av): lambda node, a: APv(a.text),
+    ("mkAP", AdAv, APv): lambda node, ada, ap: APv(_join([ada.text, ap.text])),
+    ("mkAdv", str): lambda node, word: Advv(word),
+    ("mkAdv", Prepv, NPv): lambda node, prep, np: Advv(_join([prep.text, np.text])),
+    ("mkListNP", NPv, NPv): lambda node, first, second: ListNPv((first, second)),
+    ("mkListNP", NPv, ListNPv): lambda node, first, rest: ListNPv((first,) + rest.items),
+    ("mkN", str): lambda node, sg: Nv(sg, morph.pluralize_noun(sg)),
+    ("mkN", str, str): lambda node, sg, pl: Nv(sg, pl),
+    ("mkA", str): lambda node, word: Av(word),
+    ("mkAdA", str): lambda node, word: AdAv(word),
+    ("mkPrep", str): lambda node, word: Prepv(word),
+    ("mkConj", str): lambda node, word: Conjv(word),
+    **{
+        (fn, str): lambda node, lemma, cls=cls: cls(_verb_lex(lemma, node.forms))
+        for fn, cls in _VERBS.items()
+    },
+}
+# the qualified name realizes as the plain one
+_RULES.update(
+    {("ConstructorsEng.mkAdv", *key[1:]): rule for key, rule in _RULES.items() if key[0] == "mkAdv"}
+)
+
+
+def _realize(node, values):
+    rule = _RULES.get((node.fn, *map(type, values)))
+    if rule is None:
+        if node.fn in _VERBS:
+            raise RealizeTypeError("%s expects one string argument" % node.fn)
+        types = tuple(map(type, values))
+        raise RealizeTypeError("no realization of %s over %s" % (node.fn, types))
+    return rule(node, *values)
 
 
 def _ambient_value(name):
@@ -252,41 +248,57 @@ def _ambient_value(name):
     return Prepv(word) if cat == "Prep" else Conjv(word)
 
 
-def linearize_expr(expr, grammar, env=None):
-    """Evaluate a constructor expression to a typed phrase value."""
-    env = env or {}
+def _compile(expr, grammar, scope):
+    """``expr``'s value, or its plan if it reads an argument named in ``scope``.
+
+    A plan is a function of the argument environment; no value is callable.
+    Argument-free subexpressions are folded to their values here.
+    """
+    if isinstance(expr, App):
+        parts = [_compile(a, grammar, scope) for a in expr.args]
+        if not (scope and any(map(callable, parts))):
+            return _realize(expr, parts)
+        return lambda env: _realize(expr, [p(env) if callable(p) else p for p in parts])
     if isinstance(expr, Lit):
         return expr.text
     if isinstance(expr, Ref):
         if expr.kind == "arg":
-            if expr.name not in env:
+            if expr.name not in scope:
                 raise LookupError_("unbound argument %s" % expr.name)
-            return env[expr.name]
-        if expr.kind == "oper":
-            oper = grammar.opers.get(expr.name)
-            if oper is not None:
-                return linearize_expr(oper.definition, grammar, env)
-            ambient = _ambient_value(expr.name)
-            if ambient is None:
-                raise LookupError_("unknown oper %s" % expr.name)
-            return ambient
-        fun = grammar.function(expr.name)
-        if fun.arg_names:
+            return itemgetter(expr.name)
+        if expr.kind != "oper" and grammar.function(expr.name).arg_names:
             raise RealizeTypeError("function %s used without arguments" % expr.name)
-        return linearize_expr(fun.lin, grammar, {})
-    if isinstance(expr, App):
-        values = [linearize_expr(a, grammar, env) for a in expr.args]
-        if expr.fn in ("mkV2", "mkV", "mkVV"):
-            if len(values) == 1 and isinstance(values[0], str):
-                return _verb_value(expr.fn, values[0], expr.forms)
-            raise RealizeTypeError("%s expects one string argument" % expr.fn)
-        return _apply(expr.fn, values, expr.num)
+        return _definition(grammar, expr.kind, expr.name)
     raise RealizeTypeError("not an expression: %r" % (expr,))
 
 
-def _verb_value(fn, lemma, forms):
-    lex = _verb_lex(lemma, forms)
-    return {"mkV2": V2v, "mkV": Vv, "mkVV": VVv}[fn](lex)
+def _definition(grammar, kind, name):
+    """The compiled oper or function ``name``, stored in the grammar on first use.
+
+    That is its value, or its plan for a function with arguments.  Only a
+    compiled definition is stored, never an error.
+    """
+    key = (kind, name)
+    compiled = grammar._values.get(key)
+    if compiled is None:
+        if kind != "oper":
+            fun = grammar.function(name)
+            compiled = _compile(fun.lin, grammar, fun.arg_names)
+        elif name in grammar.opers:
+            compiled = _compile(grammar.opers[name].definition, grammar, ())
+        else:
+            compiled = _ambient_value(name)
+            if compiled is None:
+                raise LookupError_("unknown oper %s" % name)
+        grammar._values[key] = compiled
+    return compiled
+
+
+def linearize_expr(expr, grammar, env=None):
+    """Evaluate a constructor expression to a typed phrase value."""
+    env = env or {}
+    value = _compile(expr, grammar, env)
+    return value(env) if callable(value) else value
 
 
 def _argument_value(grammar, text):
@@ -296,14 +308,15 @@ def _argument_value(grammar, text):
         return NPv(text=text.replace("_", " "), number="sg")
     if fun.arg_names:
         raise RealizeTypeError("argument function %s needs arguments itself" % text)
-    return linearize_expr(fun.lin, grammar, {})
+    return _definition(grammar, "fun", text)
 
 
 def linearize(grammar, function_name, args=(), period=False):
     """Realize one grammar function as an English string.
 
-    ``args`` fill the function's arguments: each is a function name of the
-    grammar or an opaque symbol (underscores become spaces, singular number).
+    ``args`` fill the function's arguments: each is an ``NPv``, or a text
+    that names a function of the grammar or else is an opaque symbol
+    (underscores become spaces, singular number).
     """
     fun = grammar.function(function_name)
     if len(args) != len(fun.arg_names):
@@ -314,7 +327,9 @@ def linearize(grammar, function_name, args=(), period=False):
     env = {}
     for name, arg in zip(fun.arg_names, args):
         env[name] = arg if isinstance(arg, NPv) else _argument_value(grammar, str(arg))
-    value = linearize_expr(fun.lin, grammar, env)
+    value = _definition(grammar, "fun", function_name)
+    if callable(value):
+        value = value(env)
     if not isinstance(value, str):
         raise RealizeTypeError(
             "function %s does not linearize to a sentence" % function_name

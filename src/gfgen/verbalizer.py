@@ -4,7 +4,8 @@ Each predicate carries one annotation sentence with positional slots
 ("input/2<TAB>The input of $1 is $2").  The sentence is pushed through the
 synthesis pipeline at load time, yielding a grammar function whose arguments
 are the slots; verbalization fills the arguments with the atom's symbols
-(underscores become spaces) and realizes the sentence.  ``rdf:type`` is
+and realizes the sentence.  A symbol is opaque text, a singular noun phrase
+whose underscores become spaces, even where it spells a grammar function.  ``rdf:type`` is
 built in as the copular annotation "$1 is $2".
 """
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 from .encoder import sanitize_ident, sentence_slots, synthesize_sentence
 from .exporter import merge
-from .linearizer import linearize
+from .linearizer import NPv, linearize
 from .template import TemplateError, parse_template
 
 ATOM_LINE = re.compile(r"^\s*([A-Za-z0-9_:]+)\s*\(([^)]*)\)\s*\.\s*$")
@@ -115,16 +116,9 @@ def _annotation_index(annotations):
     return {(a.predicate, a.arity): a for a in annotations}
 
 
-def _symbol_text(symbol):
-    return symbol.replace("_", " ")
-
-
 def _sentence(annotation, args):
-    text = linearize(
-        annotation.grammar,
-        annotation.function_name,
-        args=[_symbol_text(a) for a in args],
-    )
+    symbols = [NPv(text=a.replace("_", " "), number="sg") for a in args]
+    text = linearize(annotation.grammar, annotation.function_name, args=symbols)
     return text[:1].upper() + text[1:]
 
 

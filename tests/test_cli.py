@@ -187,6 +187,62 @@ def test_export_into_missing_directory_is_one_line_and_status_1(tmp_path, capsys
     assert captured.err == "gfgen: %s.gf: No such file or directory\n" % target
 
 
+@pytest.mark.parametrize("command", ["export", "linearize"])
+def test_conflicting_lincats_are_one_line_and_status_1(tmp_path, capsys, fixtures_dir, command):
+    outdir = tmp_path / "frags"
+    main(["synthesize", str(fixtures_dir / "bill_game.conllu"), "-o", str(outdir)])
+    capsys.readouterr()
+    fragment = outdir / "frag_bill_game.json"
+    data = json.loads(fragment.read_text(encoding="utf-8"))
+    data["lincats"]["NP"] = "V2"
+    conflicting = tmp_path / "frag_bill_game_v2.json"
+    conflicting.write_text(json.dumps(data), encoding="utf-8")
+    if command == "export":
+        argv = ["export", str(fragment), str(conflicting), "-o", str(tmp_path / "W")]
+    else:
+        argv = ["linearize", "--grammar", str(fragment), str(conflicting), "--fun", "sent_bill_game"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "gfgen: conflicting lincat for NP\n"
+    assert not (tmp_path / "W.gf").exists()
+
+
+ANNOTATION = "input/2\tThe input of $1 is $2\n"
+
+# case: (annotation file text, data flag, data file text, reason); None is a missing file
+VERBALIZE_ERRORS = {
+    "annotations missing": (None, "--atoms", "input(a, b).\n", "{annotations}: No such file or directory"),
+    "atoms missing": (ANNOTATION, "--atoms", None, "{data}: No such file or directory"),
+    "annotation without arity": (
+        "input\tThe input of $1 is $2\n",
+        "--atoms",
+        "input(a, b).\n",
+        "{annotations}: line 1: missing /arity in 'input'",
+    ),
+    "atom without annotation": (ANNOTATION, "--atoms", "likes(a, b).\n", "no annotation for: likes/2"),
+    "two-column triple": (
+        ANNOTATION,
+        "--triples",
+        "Kevin\tinput\n",
+        "{data}: line 1: expected 3 tab-separated columns",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VERBALIZE_ERRORS))
+def test_verbalize_error_is_one_line_and_status_1(tmp_path, capsys, case):
+    annotation_text, flag, data_text, reason = VERBALIZE_ERRORS[case]
+    annotations, data = tmp_path / "annotations.tsv", tmp_path / "data.txt"
+    for path, text in ((annotations, annotation_text), (data, data_text)):
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+    assert main(["verbalize", "--annotations", str(annotations), flag, str(data)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "gfgen: %s\n" % reason.format(annotations=annotations, data=data)
+
+
 def test_unknown_command_exits():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

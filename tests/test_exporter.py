@@ -23,6 +23,7 @@ from gfgen.encoder import (
 from gfgen.exporter import (
     GfGrammar,
     LookupError_,
+    MergeConflict,
     grammar_from_dict,
     grammar_to_dict,
     merge,
@@ -289,9 +290,5 @@ def test_lincat_conflict_raises():
     b = SentenceGrammar(sentence_id="b")
     b.categories.add("NP")
     b.lincats["NP"] = "V2"
-    try:
+    with pytest.raises(MergeConflict, match="^conflicting lincat for NP$"):
         merge([a, b])
-    except ValueError as exc:
-        assert "lincat" in str(exc)
-    else:
-        raise AssertionError("conflicting lincats must not merge")

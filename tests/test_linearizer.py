@@ -1,16 +1,47 @@
+import json
+import random
+from pathlib import Path
+
 import pytest
 
-from gfgen.encoder import GfOper, Lit, app, fun_ref, oper_ref, synthesize_sentence
-from gfgen.exporter import merge
+from gfgen.encoder import (
+    SIGNATURES,
+    STR,
+    GfFunction,
+    GfOper,
+    Lit,
+    app,
+    arg_ref,
+    fun_ref,
+    oper_ref,
+    synthesize_sentence,
+)
+from gfgen.exporter import GfGrammar, merge
 from gfgen.ingest import parse_conllu, parse_conllu_file
 from gfgen.linearizer import (
+    _RULES,
+    AdAv,
+    Advv,
+    APv,
+    Av,
+    CNv,
+    Conjv,
+    ListNPv,
     LookupError_,
+    NPv,
+    Nv,
+    Prepv,
     RealizeTypeError,
+    V2v,
+    VPv,
+    Vv,
+    VVv,
     inflect_verb_3sg,
     linearize,
     linearize_expr,
     pluralize_noun,
 )
+from gfgen.verbalizer import load_annotations
 
 
 def test_people_grammar_simple_sent(people_grammar):
@@ -147,3 +178,141 @@ def test_reexported_morphology():
     assert pluralize_noun("board game") == "board games"
     assert pluralize_noun("Bill") == "Bill"
     assert pluralize_noun("person") == "people"
+
+
+# --- values and plans kept per grammar ------------------------------------------------
+
+REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference"
+
+
+def test_merged_corpus_linearizes_alike_in_any_order_and_on_a_fresh_merge(fixtures_dir):
+    fragments = [
+        fragment
+        for path in sorted((fixtures_dir / "corpus").glob("*/sentences.conllu"))
+        for fragment in map(synthesize_sentence, parse_conllu_file(path))
+        if fragment is not None
+    ]
+    grammar = merge(fragments)
+    names = sorted(n for n in grammar.function_names() if n.startswith("sent_"))
+    forward = {name: linearize(grammar, name) for name in names}
+    backward = {name: linearize(grammar, name) for name in reversed(names)}
+    fresh = merge(fragments)
+    assert forward == backward == {name: linearize(fresh, name) for name in names}
+
+    hypotheses = json.loads((REFERENCE / "hypotheses.json").read_text(encoding="utf-8"))
+    divergent = json.loads((REFERENCE / "known_divergences.json").read_text(encoding="utf-8"))
+    compared = {
+        "sent_" + sid: text
+        for sid, text in hypotheses.items()
+        if text is not None and sid not in divergent
+    }
+    assert len(compared) == len(names) - len(divergent)
+    assert {name: forward[name] for name in compared} == compared
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (LookupError_, RealizeTypeError) as exc:
+        return type(exc), exc.args[0]
+
+
+@pytest.mark.parametrize("tsv", ["phylotastic_annotations.tsv", "people_annotations.tsv"])
+def test_annotation_sentences_alike_on_first_and_later_calls_and_a_fresh_grammar(fixtures_dir, tsv):
+    text = (fixtures_dir / tsv).read_text(encoding="utf-8")
+    rng = random.Random(7)
+    for annotation, fresh in zip(load_annotations(text), load_annotations(text)):
+        grammar, name = annotation.grammar, annotation.function_name
+        # some symbols spell the grammar's own functions, which fill arguments
+        # with their values and may not realize
+        pool = grammar.function_names() + ["web_link", "Kevin", "Daily_Mirror", "cow"]
+        pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(200)]
+        first = [_outcome(lambda: linearize(grammar, name, args=pair)) for pair in pairs]
+        again = [_outcome(lambda: linearize(grammar, name, args=pair)) for pair in pairs]
+        other = [_outcome(lambda: linearize(fresh.grammar, name, args=pair)) for pair in pairs]
+        assert first == again == other
+        assert any(isinstance(out, str) for out in first)
+
+
+def _faulty_grammar():
+    return GfGrammar(
+        functions=[
+            ("f", i, fun)
+            for i, fun in enumerate(
+                [
+                    GfFunction("Gone", (), (), "NP", app("mkNP", oper_ref("gone_N"))),
+                    GfFunction("GoneFun", (), (), "NP", app("mkNP", fun_ref("Nothing"))),
+                    GfFunction("Ill", (), (), "Message", app("mkCl", oper_ref("bill_N"), oper_ref("play_V2"))),
+                    GfFunction("BadVerb", (), (), "V2", app("mkV2", oper_ref("bill_N"))),
+                    GfFunction("Loose", (), (), "Message", app("mkCl", arg_ref("x"), arg_ref("x"))),
+                    GfFunction(
+                        "IllWithArgs",
+                        ("a",),
+                        ("NP",),
+                        "Message",
+                        app("mkCl", arg_ref("a"), app("mkVP", oper_ref("play_V2"), oper_ref("bill_N"))),
+                    ),
+                    GfFunction("Bill", (), (), "NP", app("mkNP", oper_ref("bill_N"))),
+                ]
+            )
+        ],
+        opers={
+            "bill_N": GfOper("bill_N", "N", app("mkN", Lit("Bill"), Lit("Bill"))),
+            "play_V2": GfOper("play_V2", "V2", app("mkV2", Lit("play"))),
+        },
+    )
+
+
+@pytest.mark.parametrize(
+    "name, args, error, message",
+    [
+        ("Gone", [], LookupError_, "unknown oper gone_N"),
+        ("GoneFun", [], LookupError_, "no function 'Nothing' in grammar"),
+        ("Ill", [], RealizeTypeError, "no realization of mkCl over (%s, %s)" % (Nv, V2v)),
+        ("BadVerb", [], RealizeTypeError, "mkV2 expects one string argument"),
+        ("Loose", [], LookupError_, "unbound argument x"),
+        ("IllWithArgs", ["Bill"], RealizeTypeError, "no realization of mkVP over (%s, %s)" % (V2v, Nv)),
+        ("IllWithArgs", ["Gone"], LookupError_, "unknown oper gone_N"),
+    ],
+)
+def test_faults_raise_alike_on_every_call(name, args, error, message):
+    grammar = _faulty_grammar()
+    assert linearize_expr(fun_ref("Bill"), grammar).text == "Bill"  # a stored neighbour
+    for _ in range(2):
+        with pytest.raises(error) as exc:
+            linearize(grammar, name, args=args)
+        assert exc.value.args[0] == message
+    if not args:
+        for _ in range(2):
+            with pytest.raises(error) as exc:
+                linearize_expr(fun_ref(name), grammar)
+            assert exc.value.args[0] == message
+
+
+CATEGORY_VALUES = {
+    STR: str,
+    "N": Nv,
+    "CN": CNv,
+    "NP": NPv,
+    "ListNP": ListNPv,
+    "A": Av,
+    "AP": APv,
+    "AdA": AdAv,
+    "Adv": Advv,
+    "Prep": Prepv,
+    "Conj": Conjv,
+    "V": Vv,
+    "V2": V2v,
+    "VV": VVv,
+    "VP": VPv,
+}
+
+
+def test_every_constructor_signature_has_a_realization_rule():
+    missing = [
+        (fn, inputs)
+        for fn, rows in SIGNATURES.items()
+        for inputs, _ in rows
+        if (fn, *(CATEGORY_VALUES[cat] for cat in inputs)) not in _RULES
+    ]
+    assert missing == []

@@ -119,6 +119,14 @@ def test_slot_substitution_is_literal(phylo_annotations):
     assert text == "Type of species names is names."
 
 
+def test_symbol_spelled_like_an_annotation_function_stays_text(people_annotations):
+    # "Read" names the annotation grammar's V2 function; a symbol is still an NP
+    atoms = parse_atoms("reads(Read, x).\nhas_pet(Has_pet, sent_reads_2).\n")
+    assert verbalize_atoms(atoms, people_annotations) == (
+        "Read reads x. Has pet has_pets sent reads 2."
+    )
+
+
 def test_parse_atoms_fact_text():
     atoms = parse_atoms("input(service, web_link).\ntypeof(web_link, url).\n")
     assert atoms == [
