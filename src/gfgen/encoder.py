@@ -13,10 +13,12 @@ on the expression nodes; they guide the built-in realizer and are invisible
 in rendered grammar text.
 
 A fragment is written as JSON.  Decoding shares what repeats from sentence to
-sentence: equal leaves (strings and references) and equal opers decode to one
-object from a process-wide table, so the tables grow with the vocabulary, not
-with the number of fragments read.  Encoding builds each sentence's own
-objects.
+sentence: every expression node (string, reference or constructor
+application) and every oper decodes to one object per distinct value, from
+process-wide tables.  The tables grow with the distinct expressions read: a
+replica of a sentence under a new id adds nothing, and each new sentence
+structure adds a few nodes.  Functions stay per fragment, since their names
+carry sentence ids.  Encoding builds each sentence's own objects.
 """
 
 import re
@@ -550,10 +552,13 @@ def oper_to_dict(oper):
     return {"name": oper.name, "category": oper.category, "definition": expr_to_dict(oper.definition)}
 
 
-# Decoded leaves and opers, shared by every decoded fragment: a leaf is looked
-# up by its text or (name, kind) before it is built, an oper by its value.
-# Both hold immutable values and grow with the vocabulary, not the fragments.
+# Decoded expression nodes and opers, shared by every decoded fragment: a leaf
+# is looked up by its text or (name, kind), a constructor node by its
+# constructor, number, forms and the identities of its already shared
+# arguments, and an oper by its name, category and the identity of its
+# definition.  The tables keep every object whose identity they key alive.
 _LEAVES = {}
+_NODES = {}
 _OPERS = {}
 
 
@@ -564,29 +569,25 @@ def expr_from_dict(d):
     if "ref" in d:
         key = (d["ref"], d["kind"])
         return _LEAVES.get(key) or _LEAVES.setdefault(key, Ref(*key))
+    args = tuple(map(expr_from_dict, d["args"]))
     forms = d.get("forms")
-    return App(
-        d["app"],
-        tuple(map(expr_from_dict, d["args"])),
-        d.get("num"),
-        tuple(sorted(forms.items())) if forms else (),
-    )
+    forms = tuple(sorted(forms.items())) if forms else ()
+    key = (d["app"], d.get("num"), forms, *map(id, args))
+    return _NODES.get(key) or _NODES.setdefault(key, App(d["app"], args, d.get("num"), forms))
 
 
 def function_from_dict(f):
     args = f["args"]
-    return GfFunction(
-        f["name"],
-        tuple(a["name"] for a in args),
-        tuple(a["cat"] for a in args),
-        f["result"],
-        expr_from_dict(f["lin"]),
-    )
+    names = cats = ()
+    if args != []:  # most functions take no argument
+        names, cats = tuple(a["name"] for a in args), tuple(a["cat"] for a in args)
+    return GfFunction(f["name"], names, cats, f["result"], expr_from_dict(f["lin"]))
 
 
 def oper_from_dict(o):
-    oper = GfOper(o["name"], o["category"], expr_from_dict(o["definition"]))
-    return _OPERS.setdefault(oper, oper)
+    definition = expr_from_dict(o["definition"])
+    key = (o["name"], o["category"], id(definition))
+    return _OPERS.get(key) or _OPERS.setdefault(key, GfOper(o["name"], o["category"], definition))
 
 
 def fragment_to_dict(grammar):

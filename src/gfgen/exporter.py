@@ -8,11 +8,14 @@ depend on fragment order.  Only names that more than one source defines are
 rendered and compared.
 """
 
-from collections import Counter
-from dataclasses import dataclass, field, replace
+from collections import Counter, defaultdict
+from dataclasses import dataclass, field
+from functools import partial
+from itertools import count, repeat
 
 from .encoder import (
     App,
+    GfFunction,
     GfOper,
     Lit,
     Ref,
@@ -95,46 +98,60 @@ def render_expr(expr, parenthesized=False):
     return text
 
 
-def _rename_expr(expr, oper_map, fun_map):
-    if isinstance(expr, Ref):
-        if expr.kind == "oper" and expr.name in oper_map:
-            return Ref(oper_map[expr.name], "oper")
-        if expr.kind == "fun" and expr.name in fun_map:
-            return Ref(fun_map[expr.name], "fun")
+def _rename_expr(expr, renames):
+    """``expr`` with the references that ``renames``, as ((name, kind), new name) pairs, rename."""
+    finals = dict(renames)
+
+    def renamed(expr):
+        if isinstance(expr, Ref):
+            final = finals.get((expr.name, expr.kind))
+            return expr if final is None else Ref(final, expr.kind)
+        if isinstance(expr, App):
+            return App(expr.fn, tuple(map(renamed, expr.args)), expr.num, expr.forms)
         return expr
-    if isinstance(expr, App):
-        return App(
-            fn=expr.fn,
-            args=tuple(_rename_expr(a, oper_map, fun_map) for a in expr.args),
-            num=expr.num,
-            forms=expr.forms,
-        )
-    return expr
+
+    return renamed(expr)
 
 
 def _fun_refs(expr):
     """Names of the functions an expression references, in reading order."""
     if isinstance(expr, Ref):
-        return [expr.name] if expr.kind == "fun" else []
+        return (expr.name,) if expr.kind == "fun" else ()
     if isinstance(expr, App):
-        return [name for a in expr.args for name in _fun_refs(a)]
-    return []
+        return tuple(name for a in expr.args for name in _fun_refs(a))
+    return ()
 
 
-def _function_key(name, bodies, keys):
+def _once(memo, fn, expr, *rest):
+    """``fn(expr, *rest)``, kept in one merge call's ``memo`` under (fn, id(expr), *rest).
+
+    The sources keep every expression alive for the call, and ``memo`` every result, so
+    no identity it keys is reused.
+    """
+    key = (fn, id(expr), *rest)
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = fn(expr, *rest)
+    return out
+
+
+def _function_key(name, bodies, keys, text, refs):
     """Merge key of a fragment function: its own key plus those of the functions it reaches.
 
     ``bodies`` maps each of the fragment's function names to (function, body
     after oper renames); the own key is (argument categories, result,
-    rendered body), and ``keys`` memoizes the result.  Bodies that read alike
-    but reach different functions get different keys, so they get different
-    names.
+    rendered body), and ``keys`` memoizes the result.  ``text`` and ``refs``
+    render a body and list the functions it references.  Bodies that read
+    alike but reach different functions get different keys, so they get
+    different names.
     """
     if name not in keys:
         keys[name] = None  # a cyclic reference contributes no key
         fun, lin = bodies[name]
-        refs = tuple(_function_key(ref, bodies, keys) for ref in _fun_refs(lin) if ref in bodies)
-        keys[name] = (fun.arg_cats, fun.result, render_expr(lin), refs)
+        reached = tuple(
+            _function_key(ref, bodies, keys, text, refs) for ref in refs(lin) if ref in bodies
+        )
+        keys[name] = (fun.arg_cats, fun.result, text(lin), reached)
     return keys[name]
 
 
@@ -153,7 +170,7 @@ def _suffixed_fun_name(name, n):
 def _functions(src):
     """A merge input's functions as (sentence id, position, function) entries."""
     if isinstance(src, SentenceGrammar):
-        return [(src.sentence_id, i, f) for i, f in enumerate(src.functions)]
+        return zip(repeat(src.sentence_id), count(), src.functions)
     if isinstance(src, GfGrammar):
         return src.functions
     raise TypeError("cannot merge %r" % (src,))
@@ -192,88 +209,100 @@ def merge(sources):
     """Union of grammar fragments into one well-formed grammar.
 
     Only a name that more than one source defines can collide, so only those
-    definitions are rendered and keyed; every other keeps its name.
+    definitions are rendered and keyed; every other keeps its name.  Decoded
+    fragments share their expression nodes and opers, so a memo keys each
+    body by its identity: each distinct body object is rendered, renamed and
+    walked for references once per call, and an oper name that every source
+    gives one object is not rendered at all.
     """
-    fragments = [(src, _functions(src)) for src in sources]
-    oper_sources = Counter(name for src in sources for name in src.opers)
+    sources = list(sources)  # read more than once
     fun_sources = Counter(
-        name for _, functions in fragments for name in {f.name for _, _, f in functions}
+        name for src in sources for name in {f.name for _, _, f in _functions(src)}
     )
-
-    # global, order-independent rename plan for colliding oper definitions;
-    # decoded fragments share opers, so each object is rendered once, keyed by
-    # id: the sources keep every oper alive, so no id is reused within the call
-    texts = {}
-    oper_variants = {}
-    rendered_opers = []
-    for src, _ in fragments:
-        rendered = {}
-        for name, oper in src.opers.items():
-            if oper_sources[name] > 1:
-                text = texts.get(id(oper))
-                if text is None:
-                    text = texts[id(oper)] = render_expr(oper.definition)
-                rendered[name] = text
-                oper_variants.setdefault(name, {})[text] = None
-        rendered_opers.append(rendered)
-    _name_variants(oper_variants, set(oper_sources), _suffixed_oper_name, sorted)
+    memo = {}  # see _once
+    text, refs = partial(_once, memo, render_expr), partial(_once, memo, _fun_refs)
+    rename = partial(_once, memo, _rename_expr)
 
     categories = {"Message"}
     lincats = {"Message": "Cl"}
-    final_opers = {}
-    fun_variants = {}
-    staged = []
-    for (src, functions), rendered in zip(fragments, rendered_opers):
+    oper_objects = defaultdict(dict)  # name -> {id: oper}, one entry per distinct object
+    for src in sources:
         categories |= src.categories
         for cat, lin in src.lincats.items():
             if lincats.setdefault(cat, lin) != lin:
                 raise MergeConflict("conflicting lincat for %s" % cat)
-        oper_renames = {}
         for name, oper in src.opers.items():
-            final = oper_variants[name][rendered[name]] if name in rendered else name
-            if final != name:
-                oper_renames[name] = final
-            final_opers.setdefault(final, {})[id(oper)] = oper
+            oper_objects[name][id(oper)] = oper
+
+    # global, order-independent rename plan for colliding oper definitions
+    oper_variants = {
+        name: dict.fromkeys(text(oper.definition) for oper in objects.values())
+        for name, objects in oper_objects.items()
+        if len(objects) > 1
+    }
+    _name_variants(oper_variants, set(oper_objects), _suffixed_oper_name, sorted)
+    # the names that some source's oper is renamed from
+    split = {name for name, variants in oper_variants.items() if len(variants) > 1}
+
+    # a colliding name's key stands for one final name, so for one body:
+    # identical functions collapse to the entry with the least (sentence id,
+    # position), so fragment order cannot leak into the result; only that
+    # entry is renamed and built
+    fun_variants = {name: {} for name, n in fun_sources.items() if n > 1}
+    collapsed = {}  # name, or (name, key) where names collide -> least entry
+    for src in sources:
+        renames = frozenset(
+            ((name, "oper"), final)
+            for name in split.intersection(src.opers)
+            if (final := oper_variants[name][text(src.opers[name].definition)]) != name
+        )
         bodies = {}  # a name defined twice keeps its first definition, as lookup does
-        for _, _, fun in functions:
+        for _, _, fun in _functions(src):
             if fun.name not in bodies:
-                lin = _rename_expr(fun.lin, oper_renames, {}) if oper_renames else fun.lin
-                bodies[fun.name] = (fun, lin)
+                bodies[fun.name] = (fun, rename(fun.lin, renames) if renames else fun.lin)
         keys = {}
-        for name in bodies:
-            if fun_sources[name] > 1:
-                fun_variants.setdefault(name, {})[_function_key(name, bodies, keys)] = None
-        staged.append((functions, bodies, keys))
+        for sid, intra, fun in _functions(src):
+            name = fun.name
+            if name in fun_variants:
+                key = _function_key(name, bodies, keys, text, refs)
+                fun_variants[name][key] = None
+                name = (name, key)
+            sid = str(sid)
+            best = collapsed.get(name)
+            if best is None or (sid, intra) < best[:2]:
+                collapsed[name] = (sid, intra, fun, bodies[fun.name][1], keys)
     _name_variants(
         fun_variants, set(fun_sources), _suffixed_fun_name, lambda keys: sorted(keys, key=repr)
     )
 
-    # a final name stands for one key, so for one body: identical functions
-    # collapse to the entry with the least (sentence id, position), so
-    # fragment order cannot leak into the result
-    collapsed = {}
-    for functions, bodies, keys in staged:
-        local_funs = {
-            name: fun_variants[name][keys[name]] for name in bodies if fun_sources[name] > 1
-        }
-        fun_renames = {name: final for name, final in local_funs.items() if final != name}
-        for sid, intra, fun in functions:
-            lin = bodies[fun.name][1]
-            if fun_renames:
-                lin = _rename_expr(lin, {}, fun_renames)
-            final_name = local_funs.get(fun.name, fun.name)
-            if final_name != fun.name or lin is not fun.lin:
-                fun = replace(fun, name=final_name, lin=lin)
-            entry = (str(sid), intra, fun)
-            if final_name not in collapsed or entry[:2] < collapsed[final_name][:2]:
-                collapsed[final_name] = entry
-    functions = sorted(
-        collapsed.values(), key=lambda item: (str(item[0]), item[1], item[2].name)
-    )
+    def final_name(name, keys):
+        return fun_variants[name][keys[name]] if name in fun_variants and name in keys else name
 
+    functions = []
+    for sid, intra, fun, lin, keys in collapsed.values():
+        final = fun.name
+        if keys:  # else its fragment has no colliding function to rename
+            final = final_name(fun.name, keys)
+            renames = frozenset(
+                ((name, "fun"), to)
+                for name in refs(lin)
+                if (to := final_name(name, keys)) != name
+            )
+            if renames:
+                lin = rename(lin, renames)
+        if final != fun.name or lin is not fun.lin:
+            fun = GfFunction(final, fun.arg_names, fun.arg_cats, fun.result, lin)
+        functions.append((sid, intra, fun))
+    functions.sort(key=lambda item: (item[0], item[1], item[2].name))
+
+    final_opers = {}
+    for name, objects in oper_objects.items():
+        variants = oper_variants.get(name)
+        for oper in objects.values():
+            final = variants[text(oper.definition)] if variants else name
+            final_opers.setdefault(final, []).append(oper)
     opers = {}
-    for final, by_id in final_opers.items():
-        variants = list(by_id.values())  # one entry per distinct object
+    for final, variants in final_opers.items():
         first = variants[0]
         if len(variants) == 1 and first.name == final:
             opers[final] = first

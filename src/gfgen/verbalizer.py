@@ -170,14 +170,26 @@ def verbalize_triples(triples, annotations):
 # --- input formats ------------------------------------------------------------
 
 
+ATOM_RECORD = "expected an object with a string predicate and a list of string args"
+TRIPLE_RECORD = "expected an object with string subject, relation and object, or 3 strings"
+
+
+def _strings(values):
+    return isinstance(values, list) and all(isinstance(v, str) for v in values)
+
+
 def parse_atoms(text):
     """Atoms from fact-program text (one ``pred(a,b).`` per line) or JSON."""
     stripped = text.lstrip()
     if stripped.startswith("["):
-        return [
-            GroundAtom(predicate=d["predicate"], args=tuple(d["args"]))
-            for d in json.loads(text)
-        ]
+        atoms = []
+        for n, d in enumerate(json.loads(text), start=1):
+            if not (
+                isinstance(d, dict) and _strings([d.get("predicate")]) and _strings(d.get("args"))
+            ):
+                raise ValueError("record %d: %s" % (n, ATOM_RECORD))
+            atoms.append(GroundAtom(predicate=d["predicate"], args=tuple(d["args"])))
+        return atoms
     atoms = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -195,13 +207,14 @@ def parse_triples(text):
     """Triples from 3-column TSV or JSON."""
     stripped = text.lstrip()
     if stripped.startswith("["):
-        out = []
-        for d in json.loads(text):
+        triples = []
+        for n, d in enumerate(json.loads(text), start=1):
             if isinstance(d, dict):
-                out.append(Triple(d["subject"], d["relation"], d["object"]))
-            else:
-                out.append(Triple(*d))
-        return out
+                d = [d.get(key) for key in ("subject", "relation", "object")]
+            if not (_strings(d) and len(d) == 3):
+                raise ValueError("record %d: %s" % (n, TRIPLE_RECORD))
+            triples.append(Triple(*d))
+        return triples
     triples = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.rstrip("\n")

@@ -151,7 +151,27 @@ def test_linearize_error_is_one_line_and_status_1(tmp_path, capsys, fixtures_dir
     assert captured.err == message + "\n"
 
 
+def _fragment_text(lin):
+    return json.dumps(
+        {
+            "sentence_id": "x",
+            "categories": ["Message"],
+            "lincats": {"Message": "Cl"},
+            "functions": [{"name": "sent_x", "args": [], "result": "Message", "lin": lin}],
+            "opers": [],
+        }
+    )
+
+
 BAD_FRAGMENTS = {
+    "list_num.json": (
+        _fragment_text({"app": "mkNP", "args": [{"ref": "game_N", "kind": "oper"}], "num": ["pl"]}),
+        "not a fragment (TypeError: unhashable type: 'list')",
+    ),
+    "list_forms.json": (
+        _fragment_text({"app": "mkV2", "args": [{"str": "make"}], "forms": {"part": ["made"]}}),
+        "not a fragment (TypeError: unhashable type: 'list')",
+    ),
     "not_json.json": ("not json\n", "not JSON: Expecting value: line 1 column 1 (char 0)"),
     "not_fragment.json": ('{"sentence_id": "x"}\n', "not a fragment (KeyError: 'categories')"),
     "missing.json": (None, "No such file or directory"),
@@ -210,6 +230,9 @@ def test_conflicting_lincats_are_one_line_and_status_1(tmp_path, capsys, fixture
 
 ANNOTATION = "input/2\tThe input of $1 is $2\n"
 
+ATOM_RECORD = "expected an object with a string predicate and a list of string args"
+TRIPLE_RECORD = "expected an object with string subject, relation and object, or 3 strings"
+
 # case: (annotation file text, data flag, data file text, reason); None is a missing file
 VERBALIZE_ERRORS = {
     "annotations missing": (None, "--atoms", "input(a, b).\n", "{annotations}: No such file or directory"),
@@ -227,6 +250,31 @@ VERBALIZE_ERRORS = {
         "Kevin\tinput\n",
         "{data}: line 1: expected 3 tab-separated columns",
     ),
+    "atom record without predicate": (
+        ANNOTATION,
+        "--atoms",
+        '[{"pred": "input", "args": ["a", "b"]}]',
+        "{data}: record 1: " + ATOM_RECORD,
+    ),
+    "atom record with number args": (
+        ANNOTATION,
+        "--atoms",
+        '[{"predicate": "input", "args": ["a", "b"]}, {"predicate": "input", "args": 5}]',
+        "{data}: record 2: " + ATOM_RECORD,
+    ),
+    "atom record with string args": (
+        ANNOTATION,
+        "--atoms",
+        '[{"predicate": "input", "args": "ab"}]',
+        "{data}: record 1: " + ATOM_RECORD,
+    ),
+    "triple record without relation": (
+        ANNOTATION,
+        "--triples",
+        '[{"subject": "a", "object": "b"}]',
+        "{data}: record 1: " + TRIPLE_RECORD,
+    ),
+    "two-item triple record": (ANNOTATION, "--triples", '[["a", "b"]]', "{data}: record 1: " + TRIPLE_RECORD),
 }
 
 

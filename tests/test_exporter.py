@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +32,8 @@ from gfgen.exporter import (
 )
 from gfgen.ingest import parse_conllu, parse_conllu_file
 from gfgen.linearizer import linearize
+
+REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference"
 
 
 def corpus_fragments(fixtures_dir, suffix=""):
@@ -162,6 +165,11 @@ def test_merge_permutation_invariant(fixtures_dir):
         assert render(merge(shuffled), "G") == base
 
 
+def test_merge_of_an_iterator_equals_merge_of_a_list(fixtures_dir):
+    fragments = corpus_fragments(fixtures_dir)
+    assert render(merge(iter(fragments)), "G") == render(merge(fragments), "G")
+
+
 def test_merge_duplicate_fragment_list(fixtures_dir):
     fragments = corpus_fragments(fixtures_dir)
     assert render(merge(fragments), "G") == render(merge(fragments + fragments), "G")
@@ -176,9 +184,9 @@ def test_merged_corpus_golden(fixtures_dir):
     )
 
 
-def _leaves(expr):
+def _nodes(expr):
     if isinstance(expr, App):
-        return [leaf for a in expr.args for leaf in _leaves(a)]
+        return [expr] + [node for a in expr.args for node in _nodes(a)]
     return [expr]
 
 
@@ -190,21 +198,61 @@ def test_decoded_replicas_share_opers_and_leaves(fixtures_dir):
         assert a.opers.keys() == b.opers.keys()
         for name, oper in a.opers.items():
             assert b.opers[name] is oper
-    # equal leaves are one object, within a fragment and across fragments
-    leaves = {}
+    # equal nodes, leaves or not, are one object, within a fragment and across fragments
+    nodes = {}
     for fragment in first + second:
         exprs = [f.lin for f in fragment.functions] + [o.definition for o in fragment.opers.values()]
-        for leaf in (leaf for expr in exprs for leaf in _leaves(expr)):
-            assert leaves.setdefault(leaf, leaf) is leaf
-    assert {type(leaf) for leaf in leaves} == {Lit, Ref}
+        for node in (node for expr in exprs for node in _nodes(expr)):
+            assert nodes.setdefault(node, node) is node
+    assert {type(node) for node in nodes} == {App, Lit, Ref}
+
+
+def test_equal_subtrees_decode_to_one_object():
+    # two functions of one fragment whose bodies hold equal, separately built subtrees
+    g = SentenceGrammar(sentence_id="s")
+    game = app("mkNP", oper_ref("game_N"), num="pl")
+    g.add_function(GfFunction("Game", (), (), "NP", game))
+    again = app("mkNP", oper_ref("game_N"), num="pl")
+    g.add_function(GfFunction("sent_s", (), (), "Message", app("mkCl", again, game)))
+    (fragment,) = decoded([g])
+    game_lin, sent_lin = (f.lin for f in fragment.functions)
+    assert sent_lin.args[0] is sent_lin.args[1] is game_lin
+    (again,) = decoded([g])
+    assert again.functions[1].lin is sent_lin
+
+
+BASE_NODE = app("mkNP", oper_ref("game_N"), num="sg", forms=(("part", "gamed"),))
+
+
+@pytest.mark.parametrize(
+    "other",
+    [
+        app("mkCN", oper_ref("game_N"), num="sg", forms=(("part", "gamed"),)),
+        app("mkNP", oper_ref("game_N"), num="pl", forms=(("part", "gamed"),)),
+        app("mkNP", oper_ref("game_N"), num="sg"),
+        app("mkNP", oper_ref("game_N"), num="sg", forms=(("third", "gamed"),)),
+        app("mkNP", fun_ref("game_N"), num="sg", forms=(("part", "gamed"),)),
+        app("mkNP", Lit("game_N"), num="sg", forms=(("part", "gamed"),)),
+    ],
+    ids=["fn", "num", "no_forms", "forms", "ref_kind", "leaf_kind"],
+)
+def test_nodes_that_differ_in_one_field_decode_apart(other):
+    base, decoded_other = (
+        encoder.expr_from_dict(json.loads(json.dumps(encoder.expr_to_dict(expr))))
+        for expr in (BASE_NODE, other)
+    )
+    assert base == BASE_NODE and decoded_other == other
+    assert base is not decoded_other
 
 
 def test_shared_tables_grow_with_vocabulary_not_fragments(fixtures_dir):
     decoded(corpus_fragments(fixtures_dir, "_r00"))
     sizes = len(encoder._LEAVES), len(encoder._OPERS)
+    nodes = len(encoder._NODES)
     for r in range(1, 5):
         decoded(corpus_fragments(fixtures_dir, "_r%02d" % r))
     assert (len(encoder._LEAVES), len(encoder._OPERS)) == sizes
+    assert len(encoder._NODES) == nodes
 
 
 def test_merge_of_decoded_fragments_matches_encoder_built(fixtures_dir):
@@ -219,6 +267,31 @@ def test_merge_of_decoded_corpus_matches_golden(fixtures_dir):
         hashlib.sha256((abstract + concrete).encode()).hexdigest()
         == "d7a103b089411bec3a823020cc67c039896cb7e195dee1cc41d0f59b5149bbb6"
     )
+
+
+def test_merge_of_decoded_corpus_in_either_order_matches_golden_and_hypotheses(fixtures_dir):
+    fragments = corpus_fragments(fixtures_dir)
+    forward = merge(decoded(fragments))
+    backward = merge(decoded(fragments[::-1]))
+    for grammar in (forward, backward):
+        abstract, concrete = render(grammar, "Wiki")
+        # the digest test_merged_corpus_golden pins for the encoder-built fragments
+        assert (
+            hashlib.sha256((abstract + concrete).encode()).hexdigest()
+            == "d7a103b089411bec3a823020cc67c039896cb7e195dee1cc41d0f59b5149bbb6"
+        )
+    hypotheses = json.loads((REFERENCE / "hypotheses.json").read_text(encoding="utf-8"))
+    divergent = json.loads((REFERENCE / "known_divergences.json").read_text(encoding="utf-8"))
+    names = [name for name in forward.function_names() if name.startswith("sent_")]
+    compared = [name for name in names if name[len("sent_"):] not in divergent]
+    assert len(compared) == len(names) - len(divergent)
+    for name in compared:
+        assert linearize(forward, name) == hypotheses[name[len("sent_"):]]
+
+
+def test_merge_twice_on_one_decoded_list_renders_alike(fixtures_dir):
+    fragments = decoded(corpus_fragments(fixtures_dir, "_r00") + corpus_fragments(fixtures_dir, "_r01"))
+    assert render(merge(fragments), "Wiki") == render(merge(fragments), "Wiki")
 
 
 def test_render_deterministic(fixtures_dir):
