@@ -72,7 +72,11 @@ def _cmd_synthesize(args):
     outdir.mkdir(parents=True, exist_ok=True)
     written = 0
     for facts in sentences:
-        fragment = synthesize_sentence(facts)
+        try:
+            fragment = synthesize_sentence(facts)
+        except ValueError as exc:  # the encoder rejects the sentence
+            print("skip %s: not encodable: %s" % (facts.sentence_id, exc), file=sys.stderr)
+            continue
         if fragment is None:
             print("skip %s: structure unrecognized" % facts.sentence_id, file=sys.stderr)
             continue

@@ -95,12 +95,48 @@ class Chunk:
         }
 
 
-def _role_bindings(facts, body, roles):
-    """Solve a component rule body, returning candidate role maps."""
-    out = []
-    for subst in engine.bindings(facts.fact_index, body):
-        out.append({role: subst[var] for role, var in roles.items()})
-    return out
+# Role rules per structure kind: (body, {role: variable}) pairs tried in
+# order until one matches, and the role anchored at a parse root.
+ROLE_RULES = {
+    1: (
+        (
+            ((atom("nsubj", "V", "S"),), {"sub": "S", "verb": "V"}),
+            ((atom("nsubjpass", "V", "S"),), {"sub": "S", "verb": "V"}),
+        ),
+        "verb",
+    ),
+    2: (
+        (
+            (
+                (atom("nsubj", "V", "S"), atom("dobj", "V", "O")),
+                {"sub": "S", "verb": "V", "obj": "O"},
+            ),
+        ),
+        "verb",
+    ),
+    3: (
+        (
+            (
+                (atom("nsubj", "V1", "S"), atom("xcomp", "V1", "V2"), atom("dobj", "V2", "O")),
+                {"sub": "S", "verb_1": "V1", "verb_2": "V2", "obj": "O"},
+            ),
+        ),
+        "verb_1",
+    ),
+    4: (
+        (((atom("nsubj", "O", "S"), atom("cop", "O", "TOBE")), {"sub": "S", "obj": "O"}),),
+        "obj",
+    ),
+    5: (
+        (
+            (
+                (atom("nsubjpass", "V", "S"), atom("auxpass", "V", "TOBE")),
+                {"sub": "S", "verb": "V"},
+            ),
+        ),
+        "verb",
+    ),
+}
 
 
 def _prefer_root(facts, candidates, anchor_role):
@@ -122,58 +158,24 @@ def main_components(facts, selected):
     an adjectival predicate, nn/nns/cd a nominal one; anything else is
     rejected.
     """
-    kind = selected.kind
-    if kind == 1:
-        cands = _role_bindings(
-            facts, [atom("nsubj", "V", "S")], {"sub": "S", "verb": "V"}
-        ) or _role_bindings(
-            facts, [atom("nsubjpass", "V", "S")], {"sub": "S", "verb": "V"}
-        )
-        chosen = _prefer_root(facts, cands, "verb")
-        return ComponentMap(sub=chosen["sub"], verb=chosen["verb"])
-    if kind == 2:
-        cands = _role_bindings(
-            facts,
-            [atom("nsubj", "V", "S"), atom("dobj", "V", "O")],
-            {"sub": "S", "verb": "V", "obj": "O"},
-        )
-        chosen = _prefer_root(facts, cands, "verb")
-        return ComponentMap(sub=chosen["sub"], verb=chosen["verb"], obj=chosen["obj"])
-    if kind == 3:
-        cands = _role_bindings(
-            facts,
-            [atom("nsubj", "V1", "S"), atom("xcomp", "V1", "V2"), atom("dobj", "V2", "O")],
-            {"sub": "S", "verb_1": "V1", "verb_2": "V2", "obj": "O"},
-        )
-        chosen = _prefer_root(facts, cands, "verb_1")
-        return ComponentMap(
-            sub=chosen["sub"],
-            verb_1=chosen["verb_1"],
-            verb_2=chosen["verb_2"],
-            obj=chosen["obj"],
-        )
-    if kind == 4:
-        cands = _role_bindings(
-            facts,
-            [atom("nsubj", "O", "S"), atom("cop", "O", "TOBE")],
-            {"sub": "S", "obj": "O"},
-        )
-        chosen = _prefer_root(facts, cands, "obj")
+    if selected.kind not in ROLE_RULES:
+        raise ValueError("unknown structure kind %d" % selected.kind)
+    rules, anchor = ROLE_RULES[selected.kind]
+    for body, roles in rules:
+        cands = [
+            {role: subst[var] for role, var in roles.items()}
+            for subst in engine.bindings(facts.fact_index, body)
+        ]
+        if cands:
+            break
+    chosen = _prefer_root(facts, cands, anchor)
+    if selected.kind == 4:
         head_tag = facts.pos(chosen["obj"])
         if head_tag == "jj":
             return ComponentMap(sub=chosen["sub"], adj=chosen["obj"])
-        if head_tag in COPULAR_OBJ_TAGS:
-            return ComponentMap(sub=chosen["sub"], obj=chosen["obj"])
-        raise UnsupportedCopularComplement(head_tag)
-    if kind == 5:
-        cands = _role_bindings(
-            facts,
-            [atom("nsubjpass", "V", "S"), atom("auxpass", "V", "TOBE")],
-            {"sub": "S", "verb": "V"},
-        )
-        chosen = _prefer_root(facts, cands, "verb")
-        return ComponentMap(sub=chosen["sub"], verb=chosen["verb"])
-    raise ValueError("unknown structure kind %d" % kind)
+        if head_tag not in COPULAR_OBJ_TAGS:
+            raise UnsupportedCopularComplement(head_tag)
+    return ComponentMap(**chosen)
 
 
 def complements(facts, pos):

@@ -12,8 +12,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .components import UnsupportedCopularComplement
-from .encoder import CategoryError, sanitize_ident, synthesize_sentence
+from .encoder import sanitize_ident, synthesize_sentence
 from .exporter import merge
 from .ingest import parse_conllu_file
 from .linearizer import linearize
@@ -40,31 +39,35 @@ class SentenceResult:
     recognized: bool = False
 
 
+def _linearized(fragment):
+    return linearize(merge([fragment]), "sent_" + sanitize_ident(fragment.sentence_id))
+
+
 def regenerate(facts):
     """Synthesize one sentence and linearize it back; None when impossible."""
     fragment = synthesize_sentence(facts)
-    if fragment is None:
-        return None
-    grammar = merge([fragment])
-    return linearize(grammar, "sent_" + sanitize_ident(facts.sentence_id))
+    return None if fragment is None else _linearized(fragment)
 
 
 def evaluate_sentences(sentences, warn=None):
-    """Per-sentence round-trip results for parsed sentences."""
+    """Per-sentence round-trip results for parsed sentences.
+
+    A sentence the encoder rejects (an unsupported tag or category, or two
+    conflicting definitions of one oper) counts as recognized but not encodable.
+    """
     results = []
     for facts in sentences:
         result = SentenceResult(sentence_id=facts.sentence_id, reference=facts.source_text)
         try:
-            hypothesis = regenerate(facts)
-        except (UnsupportedCopularComplement, CategoryError) as exc:
+            fragment = synthesize_sentence(facts)
+        except ValueError as exc:
             if warn:
                 warn("sentence %s not encodable: %s" % (facts.sentence_id, exc))
-            hypothesis = None
             result.recognized = True
         else:
-            if hypothesis is not None:
+            if fragment is not None:
                 result.recognized = True
-                result.hypothesis = hypothesis
+                result.hypothesis = _linearized(fragment)
             elif warn:
                 warn("sentence %s unrecognized" % facts.sentence_id)
         results.append(result)

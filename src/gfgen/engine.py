@@ -7,13 +7,18 @@ over ground facts replaces a full ASP solver.  Heads with cardinality bounds
 are definite: every head atom is derived once the body matches.
 
 Terms are plain ints or lowercase symbol strings; identifiers starting with
-an uppercase letter are variables.
+an uppercase letter are variables.  A rule list is compiled once into a
+Program: each body becomes a join plan over fixed row slots, so matching a
+fact is tuple indexing.  Facts are indexed as argument tuples grouped by
+predicate, and a Model builds its ``atoms`` set only when it is read.
 """
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from operator import itemgetter
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
     predicate: str
     args: tuple
@@ -36,65 +41,138 @@ def rule(heads, body):
     return Rule(tuple(heads), tuple(body))
 
 
-@dataclass(frozen=True)
-class Model:
-    """Least fixpoint of a rule family: input facts plus derived atoms.
-
-    ``derived`` holds the atoms rule heads produced, whether or not an input
-    fact equals one, so an input relation named like a head predicate is
-    never read as a derived atom.
-    """
-
-    atoms: frozenset
-    derived: frozenset
-
-    def derived_with(self, predicate):
-        return {a for a in self.derived if a.predicate == predicate}
-
-
 def is_variable(term):
     return isinstance(term, str) and term[:1].isupper()
 
 
-def _match_atom(pattern, fact, subst):
-    if pattern.predicate != fact.predicate or len(pattern.args) != len(fact.args):
-        return None
-    out = dict(subst)
-    for pat, val in zip(pattern.args, fact.args):
-        if is_variable(pat):
-            if pat in out:
-                if out[pat] != val:
-                    return None
-            else:
-                out[pat] = val
-        elif pat != val:
-            return None
-    return out
-
-
 class FactIndex:
-    """Ground facts grouped for rule evaluation, each group sorted once.
+    """Ground facts as argument tuples grouped by predicate, each group sorted once.
 
-    ``by_predicate`` holds each predicate's facts in argument order and
-    ``by_first`` each (predicate, first argument) subsequence of those lists,
-    so a lookup through either sees the facts in the same order.
+    ``by_predicate`` maps a predicate to its facts' argument tuples in order;
+    ``by_first`` gives a predicate's {first argument: the subsequence of that
+    list starting with it}, so a lookup through either sees the facts in the
+    same order.
     """
 
-    def __init__(self, facts):
-        self.facts = frozenset(facts)
-        self.by_predicate = {}
-        for f in self.facts:
-            self.by_predicate.setdefault(f.predicate, []).append(f)
-        self.by_first = {}
-        for group in self.by_predicate.values():
-            group.sort(key=lambda a: a.args)
-            for f in group:
-                if f.args:
-                    self.by_first.setdefault((f.predicate, f.args[0]), []).append(f)
+    __slots__ = ("by_predicate", "_by_first")
+
+    def __init__(self, atoms=()):
+        groups = {}
+        for a in frozenset(atoms):
+            groups.setdefault(a.predicate, []).append(a.args)
+        self._fill(groups)
+
+    @classmethod
+    def of_groups(cls, groups):
+        """The index of {predicate: [argument tuple, ...]} without repeats; sorts the lists."""
+        index = cls.__new__(cls)
+        index._fill(groups)
+        return index
+
+    def _fill(self, groups):
+        for group in groups.values():
+            group.sort()
+        self.by_predicate = groups
+        self._by_first = {}
+
+    def by_first(self, predicate):
+        """{first argument: facts} of one predicate, built on first use."""
+        firsts = self._by_first.get(predicate)
+        if firsts is None:
+            firsts = self._by_first[predicate] = {}
+            for args in self.by_predicate.get(predicate, ()):
+                if args:
+                    firsts.setdefault(args[0], []).append(args)
+        return firsts
+
+    def atoms(self):
+        return frozenset(Atom(p, args) for p, group in self.by_predicate.items() for args in group)
 
 
 def _index(facts):
     return facts if isinstance(facts, FactIndex) else FactIndex(facts)
+
+
+def _picker(slots):
+    """The function from a tuple to the tuple of its items at ``slots``."""
+    if len(slots) == 1:
+        (slot,) = slots
+        return lambda row: (row[slot],)
+    return itemgetter(*slots) if slots else lambda row: ()
+
+
+class Plan:
+    """A conjunctive body compiled once into a join in body order.
+
+    A row holds one value per slot: first every constant of the body and of
+    ``heads``, then each variable in order of first occurrence.  A step reads
+    its predicate's facts, or only those whose first argument equals an
+    already filled slot, appends the values of the variables it binds and
+    keeps the row when every other position equals its slot.  ``heads``
+    become (predicate, picker of the argument tuple) pairs.
+    """
+
+    __slots__ = ("first", "row", "names", "steps", "heads")
+
+    def __init__(self, body, heads=()):
+        terms = [t for a in (*body, *heads) for t in a.args]
+        self.row = tuple(t for t in terms if not is_variable(t))
+        constants = iter(range(len(self.row)))
+        variables = {}
+
+        def slots(pattern):
+            return [
+                variables.setdefault(t, len(self.row) + len(variables))
+                if is_variable(t)
+                else next(constants)
+                for t in pattern.args
+            ]
+
+        self.steps = []
+        for pattern in body:
+            filled = len(self.row) + len(variables)
+            args = slots(pattern)
+            first = args[0] if args and args[0] < filled else None
+            new = [i for i, s in enumerate(args) if s >= filled and s not in args[:i]]
+            # the first position is new or was looked up; it needs no test
+            tests = tuple((i, s) for i, s in enumerate(args) if i and i not in new)
+            self.steps.append((pattern.predicate, len(args), first, tests, _picker(new)))
+        self.first = body[0].predicate if body else None
+        self.names = tuple(variables)
+        self.heads = []
+        for head in heads:
+            if any(is_variable(t) and t not in variables for t in head.args):
+                raise ValueError("unsafe rule head: %s not fully bound" % head)
+            self.heads.append((head.predicate, _picker(slots(head))))
+
+    def rows(self, index):
+        """Every row that satisfies the body over a FactIndex, in fact order."""
+        rows = [self.row]
+        for predicate, arity, first, tests, take in self.steps:
+            if first is None:
+                facts = index.by_predicate.get(predicate, ())
+            else:
+                facts = index.by_first(predicate)
+            extended = []
+            for row in rows:
+                for args in facts if first is None else facts.get(row[first], ()):
+                    if len(args) != arity:
+                        continue
+                    new = row + take(args)
+                    for i, s in tests:
+                        if args[i] != new[s]:
+                            break
+                    else:
+                        extended.append(new)
+            rows = extended
+            if not rows:
+                break
+        return rows
+
+
+@lru_cache(maxsize=128)
+def _plan(body):
+    return Plan(body)
 
 
 def bindings(facts, body):
@@ -104,56 +182,63 @@ def bindings(facts, body):
     whose first argument is a constant or already bound is matched against
     that argument's facts only.
     """
-    index = _index(facts)
-    results = [dict()]
-    for pattern in body:
-        first = pattern.args[0] if pattern.args else None
-        first_is_var = not pattern.args or is_variable(first)
-        next_results = []
-        for subst in results:
-            if first_is_var and first not in subst:
-                candidates = index.by_predicate.get(pattern.predicate, ())
-            else:
-                key = subst[first] if first_is_var else first
-                candidates = index.by_first.get((pattern.predicate, key), ())
-            for fact in candidates:
-                extended = _match_atom(pattern, fact, subst)
-                if extended is not None:
-                    next_results.append(extended)
-        results = next_results
-        if not results:
-            break
-    return results
+    plan = _plan(tuple(body))
+    width = len(plan.row)
+    return [dict(zip(plan.names, row[width:])) for row in plan.rows(_index(facts))]
 
 
-def _substitute(head, subst):
-    args = tuple(subst.get(a, a) if is_variable(a) else a for a in head.args)
-    if any(is_variable(a) for a in args):
-        raise ValueError("unsafe rule head: %s not fully bound" % head)
-    return Atom(head.predicate, args)
+class Program(tuple):
+    """A rule list with each rule compiled into a Plan once."""
+
+    def __new__(cls, rules):
+        self = super().__new__(cls, rules)
+        heads = {h.predicate for r in self for h in r.heads}
+        self.recursive = any(b.predicate in heads for r in self for b in r.body)
+        self.plans = tuple(Plan(r.body, r.heads) for r in self)
+        return self
+
+
+@dataclass(frozen=True, eq=False)
+class Model:
+    """Least fixpoint of a rule family: input facts plus derived atoms.
+
+    ``derived`` holds the atoms rule heads produced, whether or not an input
+    fact equals one, so an input relation named like a head predicate is
+    never read as a derived atom.  ``atoms`` is built on first use.
+    """
+
+    facts: FactIndex
+    derived: frozenset
+
+    @cached_property
+    def atoms(self):
+        return self.facts.atoms() | self.derived
+
+    def derived_with(self, predicate):
+        return {a for a in self.derived if a.predicate == predicate}
 
 
 def derive(facts, rules):
-    """Least fixpoint of a rule list over ground facts (a set or a FactIndex).
+    """Least fixpoint of a rule list (or Program) over ground facts (a set or a FactIndex).
 
-    When no head predicate occurs in a body, no rule can feed another, so one
-    pass reaches the fixpoint; otherwise passes repeat over a fresh index
-    until one derives nothing new.
+    A rule whose first body predicate has no fact is skipped.  When no head
+    predicate occurs in a body, no rule can feed another, so one pass reaches
+    the fixpoint; otherwise passes repeat over a fresh index until one
+    derives nothing new.
     """
     index = _index(facts)
-    heads = {h.predicate for r in rules for h in r.heads}
-    recursive = any(b.predicate in heads for r in rules for b in r.body)
+    program = rules if isinstance(rules, Program) else Program(rules)
     while True:
-        derived = frozenset(
-            _substitute(head, subst)
-            for r in rules
-            for subst in bindings(index, r.body)
-            for head in r.heads
-        )
-        atoms = index.facts | derived
-        if not (recursive and len(atoms) > len(index.facts)):
-            return Model(atoms=atoms, derived=derived)
-        index = FactIndex(atoms)
+        derived = set()
+        for plan in program.plans:
+            if plan.first is None or plan.first in index.by_predicate:
+                for row in plan.rows(index):
+                    for predicate, pick in plan.heads:
+                        derived.add(Atom(predicate, pick(row)))
+        model = Model(index, frozenset(derived))
+        if not program.recursive or model.atoms == index.atoms():
+            return model
+        index = FactIndex(model.atoms)
 
 
 def model_to_text(model):
@@ -166,7 +251,7 @@ def model_to_text(model):
 
 # Structure recognition.  A nominal subject (active or passive) always yields
 # the simplest reading, kind 1; the other kinds consume more relations.
-STRUCTURE_RULES = (
+STRUCTURE_RULES = Program((
     rule([atom("structure", 1, 1)], [atom("nsubj", "V", "S")]),
     rule([atom("structure", 1, 1)], [atom("nsubjpass", "V", "S")]),
     rule(
@@ -185,11 +270,11 @@ STRUCTURE_RULES = (
         [atom("structure", 5, 2)],
         [atom("nsubjpass", "V", "S"), atom("auxpass", "V", "TOBE")],
     ),
-)
+))
 
 # Main components per structure.  The copular structure needs the trailing
 # component's tag to decide between an adjectival and a nominal predicate.
-COMPONENT_RULES = (
+COMPONENT_RULES = Program((
     rule([atom("sub", "S"), atom("verb", "V")], [atom("nsubj", "V", "S")]),
     rule(
         [atom("sub", "S"), atom("obj", "O"), atom("verb", "V")],
@@ -219,13 +304,13 @@ COMPONENT_RULES = (
         [atom("sub", "S"), atom("obj", "O")],
         [atom("nsubj", "O", "S"), atom("pos_tag", "O", "cd")],
     ),
-)
+))
 
 
 # Complement discovery.  Each head carries the host word it attaches to; the
 # preposition rule pairs an nmod (or its UD-v2 spelling, obl) with the
 # dependent's case marker.
-COMPLEMENT_RULES = (
+COMPLEMENT_RULES = Program((
     rule([atom("noun_compound", "H", "N")], [atom("compound", "H", "N")]),
     rule([atom("adj_mod", "H", "JJ")], [atom("amod", "H", "JJ")]),
     rule([atom("noun_conjunction", "H", "N")], [atom("conj", "H", "N")]),
@@ -238,11 +323,11 @@ COMPLEMENT_RULES = (
         [atom("obl", "H", "COMP"), atom("case", "COMP", "IN")],
     ),
     rule([atom("adverbial_modifier", "H", "ADV")], [atom("advmod", "H", "ADV")]),
-)
+))
 
 # The program each sentence is analysed with; no head feeds a body, so one
 # pass reaches its fixpoint.
-SENTENCE_RULES = STRUCTURE_RULES + COMPLEMENT_RULES
+SENTENCE_RULES = Program(STRUCTURE_RULES + COMPLEMENT_RULES)
 
 FAMILIES = {
     "structure": STRUCTURE_RULES,
@@ -257,13 +342,3 @@ def derive_family(facts, family):
     if family not in FAMILIES:
         raise KeyError("unknown rule family %r" % family)
     return derive(facts, FAMILIES[family])
-
-
-def sentence_atoms(facts):
-    """The fact atoms of a sentence: dependencies plus pos_tag atoms."""
-    out = set()
-    for dep in facts.deps:
-        out.add(Atom(dep.relation, (dep.head, dep.dependent)))
-    for tok in facts.tokens:
-        out.add(Atom("pos_tag", (tok.index, tok.pos)))
-    return frozenset(out)

@@ -205,10 +205,33 @@ def _merge_forms(defs):
     return tuple(sorted((k, sorted(vs)[0]) for k, vs in merged.items()))
 
 
+def _union(sources):
+    """(functions, opers) of a merge in which no name collides, else None.
+
+    Nothing collides when each function name has one entry and each oper
+    name one object that carries that name, as in the merge of a single
+    fragment; the merge then renders, keys and renames nothing.
+    """
+    functions, opers = [], {}
+    names = set()
+    for src in sources:
+        for sid, intra, fun in _functions(src):
+            if fun.name in names:
+                return None
+            names.add(fun.name)
+            functions.append((str(sid), intra, fun))
+        for name, oper in src.opers.items():
+            if opers.setdefault(name, oper) is not oper or oper.name != name:
+                return None
+    functions.sort(key=lambda item: (item[0], item[1], item[2].name))
+    return functions, opers
+
+
 def merge(sources):
     """Union of grammar fragments into one well-formed grammar.
 
-    Only a name that more than one source defines can collide, so only those
+    When no name collides the result is the plain union.  Otherwise only a
+    name that more than one source defines can collide, so only those
     definitions are rendered and keyed; every other keeps its name.  Decoded
     fragments share their expression nodes and opers, so a memo keys each
     body by its identity: each distinct body object is rendered, renamed and
@@ -216,6 +239,18 @@ def merge(sources):
     gives one object is not rendered at all.
     """
     sources = list(sources)  # read more than once
+    categories = {"Message"}
+    lincats = {"Message": "Cl"}
+    for src in sources:
+        categories |= src.categories
+        for cat, lin in src.lincats.items():
+            if lincats.setdefault(cat, lin) != lin:
+                raise MergeConflict("conflicting lincat for %s" % cat)
+    union = _union(sources)
+    if union is not None:
+        functions, opers = union
+        return GfGrammar(categories=categories, lincats=lincats, functions=functions, opers=opers)
+
     fun_sources = Counter(
         name for src in sources for name in {f.name for _, _, f in _functions(src)}
     )
@@ -223,14 +258,8 @@ def merge(sources):
     text, refs = partial(_once, memo, render_expr), partial(_once, memo, _fun_refs)
     rename = partial(_once, memo, _rename_expr)
 
-    categories = {"Message"}
-    lincats = {"Message": "Cl"}
     oper_objects = defaultdict(dict)  # name -> {id: oper}, one entry per distinct object
     for src in sources:
-        categories |= src.categories
-        for cat, lin in src.lincats.items():
-            if lincats.setdefault(cat, lin) != lin:
-                raise MergeConflict("conflicting lincat for %s" % cat)
         for name, oper in src.opers.items():
             oper_objects[name][id(oper)] = oper
 
@@ -350,9 +379,13 @@ def render(grammar, name):
         concrete.append("    %s = %s ;" % (cat, grammar.lincats.get(cat, cat)))
     if grammar.functions:
         concrete.append("  lin")
+        texts = {}  # id of a body -> its text; the grammar keeps every body alive
         for _, _, fun in grammar.functions:
             head = fun.name if not fun.arg_names else fun.name + " " + " ".join(fun.arg_names)
-            concrete.append("    %s = %s ;" % (head, render_expr(fun.lin)))
+            text = texts.get(id(fun.lin))
+            if text is None:
+                text = texts[id(fun.lin)] = render_expr(fun.lin)
+            concrete.append("    %s = %s ;" % (head, text))
     if grammar.opers:
         concrete.append("  oper")
         for oper_name in sorted(grammar.opers):

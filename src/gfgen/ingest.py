@@ -98,8 +98,16 @@ class SentenceFacts:
 
     @cached_property
     def fact_index(self):
-        """The sentence's atoms indexed for the rule engine, built on first use."""
-        return engine.FactIndex(engine.sentence_atoms(self))
+        """The sentence's facts indexed for the rule engine, built on first use.
+
+        Each dependency is a ``relation(head, dependent)`` fact and each token
+        a ``pos_tag(index, tag)`` fact.
+        """
+        groups = {}
+        for dep in self.deps:
+            groups.setdefault(dep.relation, []).append((dep.head, dep.dependent))
+        groups.setdefault("pos_tag", []).extend((t.index, t.pos) for t in self.tokens)
+        return engine.FactIndex.of_groups(groups)
 
     @cached_property
     def model(self):

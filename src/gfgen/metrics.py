@@ -23,7 +23,7 @@ def tokenize(text):
 
 def _ngrams(tokens, n):
     counts = {}
-    for gram in zip(*[tokens[i:] for i in range(n)]):
+    for gram in tokens if n == 1 else zip(*[tokens[i:] for i in range(n)]):
         counts[gram] = counts.get(gram, 0) + 1
     return counts
 
@@ -39,9 +39,12 @@ def _precision(hyp_tokens, ref_tokens, n):
 
 def bleu3(hypothesis, reference):
     """BLEU-3 with weights (1/3, 1/3, 1/3); 0.0 when any precision is zero."""
-    precisions = [_precision(hypothesis, reference, n) for n in (1, 2, 3)]
-    if any(p == 0.0 for p in precisions):
-        return 0.0
+    precisions = []
+    for n in (1, 2, 3):
+        p = _precision(hypothesis, reference, n)
+        if p == 0.0:
+            return 0.0
+        precisions.append(p)
     c, r = len(hypothesis), len(reference)
     bp = 1.0 if c >= r else math.exp(1.0 - r / c)
     return 100.0 * bp * math.exp(sum(math.log(p) for p in precisions) / 3.0)
@@ -69,16 +72,20 @@ def _rouge_n(hypothesis, reference, n):
 
 
 def _lcs_length(a, b):
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0]
-        for j, y in enumerate(b, start=1):
-            if x == y:
-                cur.append(prev[j - 1] + 1)
-            else:
-                cur.append(max(cur[-1], prev[j]))
-        prev = cur
-    return prev[-1]
+    """Bit-parallel LCS length (Allison & Dix 1986; Hyyrö 2004).
+
+    Bit i of ``row`` is 0 where the LCS of ``a[: i + 1]`` with the part of
+    ``b`` read so far is longer than with ``a[:i]``; the zeros count the LCS.
+    """
+    matches = {}
+    for i, x in enumerate(a):
+        matches[x] = matches.get(x, 0) | 1 << i
+    full = (1 << len(a)) - 1
+    row = full
+    for y in b:
+        u = row & matches.get(y, 0)
+        row = ((row + u) | (row - u)) & full
+    return len(a) - row.bit_count()
 
 
 def _rouge_l(hypothesis, reference):

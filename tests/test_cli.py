@@ -87,6 +87,59 @@ def test_synthesize_skips_unrecognized(tmp_path, capsys, fixtures_dir):
     assert len(list(outdir.glob("*.json"))) == 22
 
 
+# "persons" (nns) keeps its surface plural while "person" (nn) pluralizes to
+# "people", so the encoder meets two definitions of person_N
+PERSON_BLOCK = "\n".join(
+    [
+        "# sent_id = person",
+        "# text = The person likes persons.",
+        "1\tThe\tthe\tDET\tDT\t_\t2\tdet\t_\t_",
+        "2\tperson\tperson\tNOUN\tNN\t_\t3\tnsubj\t_\t_",
+        "3\tlikes\tlike\tVERB\tVBZ\t_\t0\troot\t_\t_",
+        "4\tpersons\tperson\tNOUN\tNNS\t_\t3\tobj\t_\t_",
+        "5\t.\t.\tPUNCT\t.\t_\t3\tpunct\t_\t_",
+    ]
+)
+
+
+def _person_between_bills(fixtures_dir, path):
+    """The person sentence between two copies of bill_game (ids bill_game, bill_game_2)."""
+    bill = (fixtures_dir / "bill_game.conllu").read_text(encoding="utf-8").strip()
+    path.parent.mkdir(parents=True, exist_ok=True)
+    blocks = [bill, PERSON_BLOCK, bill.replace("bill_game", "bill_game_2")]
+    path.write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
+    return path
+
+
+def test_synthesize_skips_a_sentence_with_conflicting_opers(tmp_path, capsys, fixtures_dir):
+    conllu = _person_between_bills(fixtures_dir, tmp_path / "person.conllu")
+    outdir = tmp_path / "frags"
+    assert main(["synthesize", str(conllu), "-o", str(outdir)]) == 0
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "skip person: not encodable: conflicting definitions for oper person_N",
+        "wrote 2 fragment(s) to %s" % outdir,
+    ]
+    assert sorted(p.name for p in outdir.glob("*.json")) == [
+        "frag_bill_game.json",
+        "frag_bill_game_2.json",
+    ]
+
+
+def test_eval_counts_a_sentence_with_conflicting_opers_as_not_encodable(
+    tmp_path, capsys, fixtures_dir
+):
+    _person_between_bills(fixtures_dir, tmp_path / "corpus" / "people" / "sentences.conllu")
+    report = tmp_path / "report.csv"
+    assert main(["eval", "--corpus", str(tmp_path / "corpus"), "--report", str(report)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "sentence person not encodable: conflicting definitions for oper person_N\n"
+    )
+    assert captured.out.startswith("people: 3 sentences, 3 recognized, ")
+    assert report.exists()
+
+
 def test_verbalize_atoms_cli(capsys, fixtures_dir):
     main(
         [

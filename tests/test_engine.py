@@ -211,6 +211,43 @@ def test_bindings_are_deterministic():
     assert bindings(facts, body) == [{"C": 10, "M": 7}, {"C": 10, "M": 9}]
 
 
+def test_bindings_equal_naive_bindings_on_random_bodies():
+    rng = random.Random(20261019)
+    # "p" has facts and patterns of arity 1 and 2; terms are variables or int constants
+    arities = {"p": (1, 2), "q": (2,), "r": (3,)}
+    seen = set()
+    for _ in range(600):
+        facts = frozenset(
+            Atom(pred, tuple(rng.randint(1, 3) for _ in range(rng.choice(arities[pred]))))
+            for pred in rng.choices(sorted(arities), k=rng.randint(0, 14))
+        )
+        body = []
+        for pred in rng.choices(sorted(arities), k=rng.randint(0, 3)):
+            terms = tuple(
+                rng.choice("XYZ") if rng.random() < 0.7 else rng.randint(1, 3)
+                for _ in range(rng.choice(arities[pred]))
+            )
+            body.append(Atom(pred, terms))
+            seen.add("constant first" if not is_variable(terms[0]) else "variable first")
+            seen.update("constant later" for t in terms[1:] if not is_variable(t))
+            if len({t for t in terms if is_variable(t)}) < sum(map(is_variable, terms)):
+                seen.add("repeated variable")
+        seen.add("empty body" if not body else "body")
+        expected = _naive_bindings(facts, body)
+        assert bindings(facts, body) == expected, (sorted(map(str, facts)), body)
+        assert bindings(engine.FactIndex(facts), body) == expected
+        seen.update("match" for _ in expected[:1])
+    assert seen == {
+        "constant first",
+        "variable first",
+        "constant later",
+        "repeated variable",
+        "empty body",
+        "body",
+        "match",
+    }
+
+
 def test_model_to_text():
     model = derive_family(frozenset([atom("nsubj", 2, 1)]), "structure")
     assert engine.model_to_text(model) == "structure(1,1).\n"

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from gfgen import encoder
+from gfgen import encoder, exporter
 from gfgen.encoder import (
     App,
     GfFunction,
@@ -292,6 +292,40 @@ def test_merge_of_decoded_corpus_in_either_order_matches_golden_and_hypotheses(f
 def test_merge_twice_on_one_decoded_list_renders_alike(fixtures_dir):
     fragments = decoded(corpus_fragments(fixtures_dir, "_r00") + corpus_fragments(fixtures_dir, "_r01"))
     assert render(merge(fragments), "Wiki") == render(merge(fragments), "Wiki")
+
+
+def _readout(grammar):
+    """The grammar's rendered sources and the linearization of each sentence function."""
+    texts = {
+        name: linearize(grammar, name)
+        for name in grammar.function_names()
+        if grammar.function(name).result == "Message"
+    }
+    assert texts
+    return render(grammar, "G"), texts
+
+
+def test_one_fragment_union_equals_the_collision_path(fixtures_dir):
+    fragments = corpus_fragments(fixtures_dir)
+    assert len(fragments) == 60
+    for fragment in fragments:
+        # [fragment] takes the direct union, [fragment, fragment] the collision path
+        assert exporter._union([fragment]) is not None
+        assert exporter._union([fragment, fragment]) is None
+        assert _readout(merge([fragment])) == _readout(merge([fragment, fragment]))
+
+
+def test_disjoint_fragments_union_equals_the_collision_path(fixtures_dir):
+    fragments = decoded(corpus_fragments(fixtures_dir))
+    pairs = [
+        (a, b)
+        for a, b in zip(fragments, fragments[1:])
+        if exporter._union([a, b]) is not None
+    ]
+    assert len(pairs) >= 10
+    for a, b in pairs:
+        assert exporter._union([a, b, a]) is None
+        assert _readout(merge([a, b])) == _readout(merge([a, b, a]))
 
 
 def test_render_deterministic(fixtures_dir):
