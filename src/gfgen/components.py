@@ -1,15 +1,14 @@
 """Main-component role assignment and recursive complement chunking.
 
-The component rules map a few words onto roles (sub, verb, obj, ...) for the
-selected structure; everything else hangs off those words as complements,
-read from the sentence model at each new position, which yields the maximal
-chunk of words supporting each main component.
+The selected structure's clause shape maps a few words onto roles (sub, verb,
+obj, ...); everything else hangs off those words as complements, read from
+the sentence model at each new position, which yields the maximal chunk of
+words supporting each main component.
 """
 
 from dataclasses import dataclass
 
 from . import engine
-from .engine import atom
 
 # Determiners, possessives, auxiliaries, copulas and punctuation are never
 # chunk members: the complement rules only consume compound/amod/conj/
@@ -95,50 +94,6 @@ class Chunk:
         }
 
 
-# Role rules per structure kind: (body, {role: variable}) pairs tried in
-# order until one matches, and the role anchored at a parse root.
-ROLE_RULES = {
-    1: (
-        (
-            ((atom("nsubj", "V", "S"),), {"sub": "S", "verb": "V"}),
-            ((atom("nsubjpass", "V", "S"),), {"sub": "S", "verb": "V"}),
-        ),
-        "verb",
-    ),
-    2: (
-        (
-            (
-                (atom("nsubj", "V", "S"), atom("dobj", "V", "O")),
-                {"sub": "S", "verb": "V", "obj": "O"},
-            ),
-        ),
-        "verb",
-    ),
-    3: (
-        (
-            (
-                (atom("nsubj", "V1", "S"), atom("xcomp", "V1", "V2"), atom("dobj", "V2", "O")),
-                {"sub": "S", "verb_1": "V1", "verb_2": "V2", "obj": "O"},
-            ),
-        ),
-        "verb_1",
-    ),
-    4: (
-        (((atom("nsubj", "O", "S"), atom("cop", "O", "TOBE")), {"sub": "S", "obj": "O"}),),
-        "obj",
-    ),
-    5: (
-        (
-            (
-                (atom("nsubjpass", "V", "S"), atom("auxpass", "V", "TOBE")),
-                {"sub": "S", "verb": "V"},
-            ),
-        ),
-        "verb",
-    ),
-}
-
-
 def _prefer_root(facts, candidates, anchor_role):
     """With coordinated clauses the one anchored at a parse root wins."""
     if not candidates:
@@ -154,21 +109,19 @@ def _prefer_root(facts, candidates, anchor_role):
 def main_components(facts, selected):
     """Role assignment for the selected structure.
 
-    The copular structure resolves its trailing component by tag: jj becomes
-    an adjectival predicate, nn/nns/cd a nominal one; anything else is
-    rejected.
+    The first body of its clause shape that matches binds the roles.  The
+    copular structure resolves its trailing component by tag: jj becomes an
+    adjectival predicate, nn/nns/cd a nominal one; anything else is rejected.
     """
-    if selected.kind not in ROLE_RULES:
-        raise ValueError("unknown structure kind %d" % selected.kind)
-    rules, anchor = ROLE_RULES[selected.kind]
-    for body, roles in rules:
+    shape = selected.shape
+    for body in shape.bodies:
         cands = [
-            {role: subst[var] for role, var in roles.items()}
+            {role: subst[var] for role, var in shape.roles.items()}
             for subst in engine.bindings(facts.fact_index, body)
         ]
         if cands:
             break
-    chosen = _prefer_root(facts, cands, anchor)
+    chosen = _prefer_root(facts, cands, shape.anchor)
     if selected.kind == 4:
         head_tag = facts.pos(chosen["obj"])
         if head_tag == "jj":

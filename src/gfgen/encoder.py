@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 from . import morph
 from .components import build_chunk, main_components, conjunction_word
+from .engine import CLAUSE_SHAPES
 from .structure import recognize, select
 
 NOMINAL_TAGS = {"nn", "nns", "nnp", "nnps", "cd", "prp", "wp"}
@@ -38,10 +39,6 @@ NON_IDENT_RUN = re.compile(r"[^a-z0-9]+")
 
 class CategoryError(ValueError):
     """A chunk head whose tag does not fit the required category."""
-
-
-class NotEncodable(ValueError):
-    """The sentence has no recognized structure to encode."""
 
 
 # --- constructor expressions -------------------------------------------------
@@ -390,93 +387,72 @@ def _vp_wraps(facts, chunk, vp, grammar):
     return vp
 
 
-def encode_vp(facts, selected, roles, refs, grammar):
-    """VP expression of the clause skeleton for the selected structure."""
-    kind = selected.kind
-    if kind == 1:
-        vp = app("mkVP", refs["verb"])
-        return _vp_wraps(facts, build_chunk(facts, roles.verb), vp, grammar)
-    if kind == 2:
-        vp = app("mkVP", refs["verb"], refs["obj"])
-        return _vp_wraps(facts, build_chunk(facts, roles.verb), vp, grammar)
-    if kind == 3:
-        inner = app("mkVP", refs["verb_2"], refs["obj"])
-        inner = _vp_wraps(facts, build_chunk(facts, roles.verb_2), inner, grammar)
-        vp = app("mkVP", refs["verb_1"], inner)
-        return _vp_wraps(facts, build_chunk(facts, roles.verb_1), vp, grammar)
-    if kind == 5:
-        vp = app("passiveVP", refs["verb"])
-        return _vp_wraps(facts, build_chunk(facts, roles.verb), vp, grammar)
-    raise ValueError("structure kind %d has no verb phrase" % kind)
+VERB_ROLES = frozenset(role for shape in CLAUSE_SHAPES for role in shape.verbs)
+
+
+def encode_skeleton(facts, node, roles, refs, grammar):
+    """The expression of a clause skeleton node over the component references.
+
+    A leaf is a role and becomes ``refs[role]``; a node applies its
+    constructor, and a VP node headed by a verb role is wrapped in the
+    adverbs and prepositional complements of that verb's chunk.
+    """
+    if isinstance(node, str):
+        return refs[node]
+    fn, *args = node
+    expr = app(fn, *(encode_skeleton(facts, a, roles, refs, grammar) for a in args))
+    if args[0] in VERB_ROLES:
+        expr = _vp_wraps(facts, build_chunk(facts, getattr(roles, args[0])), expr, grammar)
+    return expr
 
 
 # --- sentence encoding ---------------------------------------------------------
 
-VERB_CATS = {1: "V", 2: "V2", 3: ("VV", "V2"), 5: "V2"}
 
+def _component_fun(facts, index, result, expr, grammar, used):
+    """Add a zero-argument function named by the token's lemma; return its reference.
 
-def _component_fun_name(base, used):
-    name = base[:1].upper() + base[1:]
-    if name not in used:
-        used.add(name)
-        return name
-    n = 2
-    while "%s_%d" % (name, n) in used:
-        n += 1
-    final = "%s_%d" % (name, n)
-    used.add(final)
-    return final
+    The name is the capitalized lemma, suffixed _2, _3, ... when already used.
+    """
+    base = sanitize_ident(facts.token(index).lemma)
+    base = base[:1].upper() + base[1:]
+    name, n = base, 2
+    while name in used:
+        name, n = "%s_%d" % (base, n), n + 1
+    used.add(name)
+    grammar.add_function(GfFunction(name, (), (), result, expr))
+    return fun_ref(name)
 
 
 def _nominal_fun(facts, index, grammar, used):
-    chunk = build_chunk(facts, index)
-    expr = encode_np(facts, chunk, grammar)
+    expr = encode_np(facts, build_chunk(facts, index), grammar)
     if expr_has_args(expr):
         return expr  # slot-bearing components inline into the sentence function
-    name = _component_fun_name(sanitize_ident(facts.token(index).lemma), used)
-    grammar.add_function(GfFunction(name, (), (), "NP", expr))
-    return fun_ref(name)
+    return _component_fun(facts, index, "NP", expr, grammar, used)
 
 
 def encode_sentence(facts, selected, roles, slots=()):
     """Grammar fragment for one sentence given its structure and roles.
 
-    ``slots`` declares argument positions (template synthesis); plain corpus
-    sentences leave it empty and get a closed zero-argument Message function.
+    The component functions come first (subject, object or adjectival
+    predicate, then the verbs), and the sentence function applies the
+    structure's clause skeleton to them.  ``slots`` declares argument
+    positions (template synthesis); plain corpus sentences leave it empty and
+    get a closed zero-argument Message function.
     """
+    shape = selected.shape
     grammar = SentenceGrammar(sentence_id=facts.sentence_id, source_text=facts.source_text)
     used = set()
-    refs = {}
-
-    refs["sub"] = _nominal_fun(facts, roles.sub, grammar, used)
+    refs = {"sub": _nominal_fun(facts, roles.sub, grammar, used)}
     if roles.obj is not None:
         refs["obj"] = _nominal_fun(facts, roles.obj, grammar, used)
-    if roles.adj is not None:
-        adj_chunk = build_chunk(facts, roles.adj)
-        expr, _ = encode_ap(facts, adj_chunk, grammar, materialize=False)
-        name = _component_fun_name(sanitize_ident(facts.token(roles.adj).lemma), used)
-        grammar.add_function(GfFunction(name, (), (), "AP", expr))
-        refs["adj"] = fun_ref(name)
-    kind = selected.kind
-    if kind == 3:
-        for role, cat in (("verb_1", "VV"), ("verb_2", "V2")):
-            index = getattr(roles, role)
-            oper_name = _verb_oper(facts, index, cat, grammar)
-            name = _component_fun_name(sanitize_ident(facts.token(index).lemma), used)
-            grammar.add_function(GfFunction(name, (), (), cat, oper_ref(oper_name)))
-            refs[role] = fun_ref(name)
-    elif roles.verb is not None:
-        cat = VERB_CATS[kind]
-        oper_name = _verb_oper(facts, roles.verb, cat, grammar)
-        name = _component_fun_name(sanitize_ident(facts.token(roles.verb).lemma), used)
-        grammar.add_function(GfFunction(name, (), (), cat, oper_ref(oper_name)))
-        refs["verb"] = fun_ref(name)
-
-    if kind == 4:
-        predicate = refs["adj"] if roles.adj is not None else refs["obj"]
-        clause = app("mkCl", refs["sub"], predicate)
-    else:
-        clause = app("mkCl", refs["sub"], encode_vp(facts, selected, roles, refs, grammar))
+    if roles.adj is not None:  # the copula's adjectival complement fills the obj leaf
+        expr, _ = encode_ap(facts, build_chunk(facts, roles.adj), grammar, materialize=False)
+        refs["obj"] = _component_fun(facts, roles.adj, "AP", expr, grammar, used)
+    for role, cat in shape.verbs.items():
+        index = getattr(roles, role)
+        verb = oper_ref(_verb_oper(facts, index, cat, grammar))
+        refs[role] = _component_fun(facts, index, cat, verb, grammar, used)
 
     arg_names = tuple("a%d" % n for n in slots)
     sent_fun = GfFunction(
@@ -484,24 +460,10 @@ def encode_sentence(facts, selected, roles, slots=()):
         arg_names=arg_names,
         arg_cats=tuple("NP" for _ in slots),
         result="Message",
-        lin=clause,
+        lin=encode_skeleton(facts, shape.skeleton, roles, refs, grammar),
     )
     grammar.add_function(sent_fun)
     return grammar
-
-
-def top_rule(selected, copular_role="obj"):
-    """Clause skeleton assigned to a structure, as a category tree."""
-    kind = selected.kind
-    skeletons = {
-        1: ("mkCl", "NP", ("mkVP", "V")),
-        2: ("mkCl", "NP", ("mkVP", "V2", "NP")),
-        3: ("mkCl", "NP", ("mkVP", "VV", ("mkVP", "V2", "NP"))),
-        5: ("mkCl", "NP", ("passiveVP", "V2")),
-    }
-    if kind == 4:
-        return ("mkCl", "NP", "AP" if copular_role == "adj" else "NP")
-    return skeletons[kind]
 
 
 def sentence_slots(facts):

@@ -1,10 +1,12 @@
 """Forward-chaining evaluation of the stratified rule families.
 
-Each sentence is analysed by one program, the structure rules plus the
-complement rules, evaluated once; the main-components family is kept beside
-it.  The rules are positive and choice-free in effect, so a least fixpoint
-over ground facts replaces a full ASP solver.  Heads with cardinality bounds
-are definite: every head atom is derived once the body matches.
+One table, CLAUSE_SHAPES, states the five clause shapes; the structure rules
+and the main-components family are generated from it.  Each sentence is
+analysed by one program, the structure rules plus the complement rules,
+evaluated once.  The rules are positive and choice-free in effect, so a
+least fixpoint over ground facts replaces a full ASP solver.  Heads with
+cardinality bounds are definite: every head atom is derived once the body
+matches.
 
 Terms are plain ints or lowercase symbol strings; identifiers starting with
 an uppercase letter are variables.  A rule list is compiled once into a
@@ -249,63 +251,76 @@ def model_to_text(model):
 
 # --- rule families ----------------------------------------------------------
 
-# Structure recognition.  A nominal subject (active or passive) always yields
-# the simplest reading, kind 1; the other kinds consume more relations.
-STRUCTURE_RULES = Program((
-    rule([atom("structure", 1, 1)], [atom("nsubj", "V", "S")]),
-    rule([atom("structure", 1, 1)], [atom("nsubjpass", "V", "S")]),
-    rule(
-        [atom("structure", 2, 2)],
-        [atom("nsubj", "V", "S"), atom("dobj", "V", "O")],
-    ),
-    rule(
-        [atom("structure", 3, 3)],
-        [atom("nsubj", "V1", "S"), atom("xcomp", "V1", "V2"), atom("dobj", "V2", "O")],
-    ),
-    rule(
-        [atom("structure", 4, 2)],
-        [atom("nsubj", "O", "S"), atom("cop", "O", "TOBE")],
-    ),
-    rule(
-        [atom("structure", 5, 2)],
-        [atom("nsubjpass", "V", "S"), atom("auxpass", "V", "TOBE")],
-    ),
-))
 
-# Main components per structure.  The copular structure needs the trailing
-# component's tag to decide between an adjectival and a nominal predicate.
-COMPONENT_RULES = Program((
-    rule([atom("sub", "S"), atom("verb", "V")], [atom("nsubj", "V", "S")]),
-    rule(
-        [atom("sub", "S"), atom("obj", "O"), atom("verb", "V")],
-        [atom("nsubj", "V", "S"), atom("dobj", "V", "O")],
-    ),
-    rule(
-        [atom("sub", "S"), atom("verb", "V")],
-        [atom("nsubjpass", "V", "S"), atom("auxpass", "V", "TOBE")],
-    ),
-    rule(
-        [atom("sub", "S"), atom("obj", "O"), atom("verb_1", "V1"), atom("verb_2", "V2")],
-        [atom("nsubj", "V1", "S"), atom("xcomp", "V1", "V2"), atom("dobj", "V2", "O")],
-    ),
-    rule(
-        [atom("sub", "S"), atom("adj", "O")],
-        [atom("nsubj", "O", "S"), atom("pos_tag", "O", "jj")],
-    ),
-    rule(
-        [atom("sub", "S"), atom("obj", "O")],
-        [atom("nsubj", "O", "S"), atom("pos_tag", "O", "nn")],
-    ),
-    rule(
-        [atom("sub", "S"), atom("obj", "O")],
-        [atom("nsubj", "O", "S"), atom("pos_tag", "O", "nns")],
-    ),
-    rule(
-        [atom("sub", "S"), atom("obj", "O")],
-        [atom("nsubj", "O", "S"), atom("pos_tag", "O", "cd")],
-    ),
-))
+@dataclass(frozen=True, eq=False)
+class ClauseShape:
+    """One clause shape: how it is recognized, which tokens fill its roles and
+    the GF clause it builds.
 
+    ``bodies`` are the dependency patterns that recognize it, tried in order
+    when roles are assigned; its i-value is the number of relations a body
+    consumes.  ``roles`` maps each role to a body variable, and ``anchor`` is
+    the role that must sit at a parse root when clauses coordinate.
+    ``verbs`` gives each verb role its GF category, and ``skeleton`` is the
+    clause as a constructor tree whose leaves are roles.
+    """
+
+    kind: int
+    bodies: tuple
+    roles: dict
+    anchor: str
+    verbs: dict
+    skeleton: tuple
+
+    @property
+    def i_value(self):
+        return len(self.bodies[0])
+
+
+# The five clause shapes, most specific first: a tie on i-value goes to the
+# earlier row.  A nominal subject, active or passive, always yields kind 1.
+# The copula's complement O fills the obj role; components.main_components
+# reads its tag to make it an adjectival predicate instead.
+CLAUSE_SHAPES = (
+    ClauseShape(  # verb complement
+        3, ((atom("nsubj", "V1", "S"), atom("xcomp", "V1", "V2"), atom("dobj", "V2", "O")),),
+        {"sub": "S", "verb_1": "V1", "verb_2": "V2", "obj": "O"}, "verb_1",
+        {"verb_1": "VV", "verb_2": "V2"},
+        ("mkCl", "sub", ("mkVP", "verb_1", ("mkVP", "verb_2", "obj"))),
+    ),
+    ClauseShape(  # transitive
+        2, ((atom("nsubj", "V", "S"), atom("dobj", "V", "O")),),
+        {"sub": "S", "verb": "V", "obj": "O"}, "verb",
+        {"verb": "V2"},
+        ("mkCl", "sub", ("mkVP", "verb", "obj")),
+    ),
+    ClauseShape(  # passive
+        5, ((atom("nsubjpass", "V", "S"), atom("auxpass", "V", "TOBE")),),
+        {"sub": "S", "verb": "V"}, "verb",
+        {"verb": "V2"},
+        ("mkCl", "sub", ("passiveVP", "verb")),
+    ),
+    ClauseShape(  # copular
+        4, ((atom("nsubj", "O", "S"), atom("cop", "O", "TOBE")),),
+        {"sub": "S", "obj": "O"}, "obj",
+        {},
+        ("mkCl", "sub", "obj"),
+    ),
+    ClauseShape(  # intransitive
+        1, ((atom("nsubj", "V", "S"),), (atom("nsubjpass", "V", "S"),)),
+        {"sub": "S", "verb": "V"}, "verb",
+        {"verb": "V"},
+        ("mkCl", "sub", ("mkVP", "verb")),
+    ),
+)
+
+
+def _shape_rules(heads):
+    """One rule per body of every clause shape, with ``heads(shape)`` as its heads."""
+    return Program(rule(heads(s), body) for s in CLAUSE_SHAPES for body in s.bodies)
+
+
+STRUCTURE_RULES = _shape_rules(lambda s: [atom("structure", s.kind, s.i_value)])
 
 # Complement discovery.  Each head carries the host word it attaches to; the
 # preposition rule pairs an nmod (or its UD-v2 spelling, obl) with the
@@ -331,7 +346,7 @@ SENTENCE_RULES = Program(STRUCTURE_RULES + COMPLEMENT_RULES)
 
 FAMILIES = {
     "structure": STRUCTURE_RULES,
-    "components": COMPONENT_RULES,
+    "components": _shape_rules(lambda s: [atom(r, v) for r, v in s.roles.items()]),
     "complements": COMPLEMENT_RULES,
     "sentence": SENTENCE_RULES,
 }

@@ -1,7 +1,8 @@
 """CoNLL-U ingestion: turn each parsed sentence into a program of facts.
 
-Every sentence becomes a set of dependency facts ``rel(head, dependent)``
-plus one ``pos_tag(index, tag)`` fact per token.  The root edge is dropped;
+Every sentence becomes a set of dependency facts ``rel(head, dependent)``,
+which the rule engine reads, and its fact program also lists one
+``pos_tag(index, tag)`` fact per token.  The root edge is dropped;
 multiword-token ranges ("3-4") and empty nodes ("3.1") are skipped.
 """
 
@@ -10,8 +11,8 @@ from functools import cached_property
 
 from . import engine, morph
 
-# Penn tags are preferred (the component rules test them); when only UPOS is
-# available we map the tags the rules care about and lowercase the rest.
+# Penn tags are preferred (the copula and the encoder test them); when only
+# UPOS is available we map the tags they care about and lowercase the rest.
 UPOS_FALLBACK = {
     "NOUN": "nn",
     "PROPN": "nnp",
@@ -98,15 +99,15 @@ class SentenceFacts:
 
     @cached_property
     def fact_index(self):
-        """The sentence's facts indexed for the rule engine, built on first use.
+        """The sentence's dependency facts indexed for the rule engine, built on first use.
 
-        Each dependency is a ``relation(head, dependent)`` fact and each token
-        a ``pos_tag(index, tag)`` fact.
+        Each dependency is a ``relation(head, dependent)`` fact.  Token tags
+        are not indexed: no rule reads them, so an edge labelled ``pos_tag``
+        is an ordinary unknown relation.
         """
         groups = {}
         for dep in self.deps:
             groups.setdefault(dep.relation, []).append((dep.head, dep.dependent))
-        groups.setdefault("pos_tag", []).extend((t.index, t.pos) for t in self.tokens)
         return engine.FactIndex.of_groups(groups)
 
     @cached_property

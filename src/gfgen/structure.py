@@ -1,16 +1,16 @@
 """Sentence structure recognition and most-informative selection.
 
-Five structures are recognized; the second argument of each structure atom
-(the i-value) counts the dependency relations its rule consumed, and the
-atom with the highest i-value is the most informative reading.
+Five structures are recognized, one per row of ``engine.CLAUSE_SHAPES``; the
+second argument of each structure atom (the i-value) counts the dependency
+relations its rule consumed, and the atom with the highest i-value is the
+most informative reading.
 """
 
 from dataclasses import dataclass
 
-# ties on i-value break toward the more specific triggering pattern
-SELECT_PRIORITY = (3, 2, 5, 4, 1)
+from .engine import CLAUSE_SHAPES
 
-KIND_I_VALUES = {1: 1, 2: 2, 3: 3, 4: 2, 5: 2}
+SHAPES = {shape.kind: shape for shape in CLAUSE_SHAPES}
 
 
 @dataclass(frozen=True)
@@ -19,8 +19,13 @@ class StructureAtom:
     i_value: int
 
     def __post_init__(self):
-        if KIND_I_VALUES.get(self.kind) != self.i_value:
+        shape = SHAPES.get(self.kind)
+        if shape is None or shape.i_value != self.i_value:
             raise ValueError("no structure (%d,%d) exists" % (self.kind, self.i_value))
+
+    @property
+    def shape(self):
+        return SHAPES[self.kind]
 
 
 def recognize(facts):
@@ -29,10 +34,10 @@ def recognize(facts):
 
 
 def select(structures):
-    """The structure with the highest i-value, or None for the empty set."""
+    """The structure with the highest i-value, or None for the empty set.
+
+    Ties break toward the shape listed first in the table.
+    """
     if not structures:
         return None
-    return max(
-        structures,
-        key=lambda s: (s.i_value, -SELECT_PRIORITY.index(s.kind)),
-    )
+    return max(structures, key=lambda s: (s.i_value, -CLAUSE_SHAPES.index(s.shape)))

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from gfgen.components import build_chunk, main_components
+from gfgen.engine import CLAUSE_SHAPES
 from gfgen.encoder import (
     App,
     CategoryError,
@@ -13,7 +14,8 @@ from gfgen.encoder import (
     app,
     arg_ref,
     encode_np,
-    encode_vp,
+    encode_sentence,
+    encode_skeleton,
     expr_from_dict,
     expr_opers,
     expr_to_dict,
@@ -23,13 +25,13 @@ from gfgen.encoder import (
     oper_ref,
     sanitize_ident,
     SentenceGrammar,
+    sentence_slots,
     synthesize_sentence,
-    top_rule,
 )
 from gfgen.exporter import merge, render, render_expr
 from gfgen.ingest import parse_conllu, parse_conllu_file
 from gfgen.linearizer import linearize
-from gfgen.structure import StructureAtom, recognize, select
+from gfgen.structure import SHAPES, StructureAtom, recognize, select
 
 GAME_LINE = (
     "Game = mkNP (mkNP popular_board_game_CN ) "
@@ -48,16 +50,61 @@ GAME_OPERS = [
 ]
 
 
-def test_top_rule_skeletons():
-    assert top_rule(StructureAtom(2, 2)) == ("mkCl", "NP", ("mkVP", "V2", "NP"))
-    assert top_rule(StructureAtom(4, 2), copular_role="adj") == ("mkCl", "NP", "AP")
-    assert top_rule(StructureAtom(1, 1)) == ("mkCl", "NP", ("mkVP", "V"))
-    assert top_rule(StructureAtom(3, 3)) == (
+def skeleton_categories(shape, copular_role="obj"):
+    """A clause shape's skeleton with each role leaf replaced by its category."""
+    leaves = {"sub": "NP", "obj": "AP" if copular_role == "adj" else "NP", **shape.verbs}
+
+    def walk(node):
+        return leaves[node] if isinstance(node, str) else (node[0], *map(walk, node[1:]))
+
+    return walk(shape.skeleton)
+
+
+def test_clause_shape_skeletons():
+    assert [shape.kind for shape in CLAUSE_SHAPES] == [3, 2, 5, 4, 1]
+    assert skeleton_categories(SHAPES[2]) == ("mkCl", "NP", ("mkVP", "V2", "NP"))
+    assert skeleton_categories(SHAPES[4], copular_role="adj") == ("mkCl", "NP", "AP")
+    assert skeleton_categories(SHAPES[1]) == ("mkCl", "NP", ("mkVP", "V"))
+    assert skeleton_categories(SHAPES[3]) == (
         "mkCl",
         "NP",
         ("mkVP", "VV", ("mkVP", "V2", "NP")),
     )
-    assert top_rule(StructureAtom(5, 2)) == ("mkCl", "NP", ("passiveVP", "V2"))
+    assert skeleton_categories(SHAPES[5]) == ("mkCl", "NP", ("passiveVP", "V2"))
+
+
+def test_sentence_clauses_follow_their_skeleton(fixtures_dir):
+    """Each sent_* clause is its shape's skeleton, VP wraps aside, with the row's leaf categories."""
+    paths = [fixtures_dir / "structures.conllu", *sorted(fixtures_dir.glob("corpus/*/*.conllu"))]
+    seen = set()
+    for facts in (f for path in paths for f in parse_conllu_file(path)):
+        selected = select(recognize(facts))
+        if selected is None:
+            continue
+        roles = main_components(facts, selected)
+        fragment = encode_sentence(facts, selected, roles, slots=sentence_slots(facts))
+        funs = funs_to_cl({f.name: f.result for f in fragment.functions})
+        sent = fragment.functions[-1]
+        args = dict(zip(sent.arg_names, sent.arg_cats))
+
+        def category(expr):
+            return infer_category(expr, fragment.opers, funs, args)
+
+        def check(expr, node, expected):
+            if isinstance(node, str):
+                assert category(expr) == expected, facts.sentence_id
+                return
+            while expr.fn == "mkVP" and category(expr.args[-1]) == "Adv":
+                expr = expr.args[0]  # an adverbial complement of the verb
+            assert (expr.fn, len(expr.args)) == (node[0], len(node) - 1), facts.sentence_id
+            for arg, sub, cat in zip(expr.args, node[1:], expected[1:]):
+                check(arg, sub, cat)
+
+        copular_role = "adj" if roles.adj is not None else "obj"
+        shape = selected.shape
+        check(sent.lin, shape.skeleton, skeleton_categories(shape, copular_role))
+        seen.add((shape.kind, copular_role if shape.kind == 4 else None))
+    assert seen == {(1, None), (2, None), (3, None), (5, None), (4, "adj"), (4, "obj")}
 
 
 def test_encode_np_worked_example(board_game_facts):
@@ -108,7 +155,7 @@ def test_encode_vp_transitive(bill_game_facts):
         "verb": oper_ref("play_V2"),
         "obj": encode_np(bill_game_facts, build_chunk(bill_game_facts, 4), grammar),
     }
-    expr = encode_vp(bill_game_facts, StructureAtom(2, 2), roles, refs, grammar)
+    expr = encode_skeleton(bill_game_facts, ("mkVP", "verb", "obj"), roles, refs, grammar)
     assert render_expr(expr) == "mkVP play_V2 (mkNP game_N )"
 
 
@@ -120,7 +167,7 @@ def test_encode_vp_adverb():
     )
     grammar = SentenceGrammar(sentence_id="t")
     roles = main_components(facts, StructureAtom(1, 1))
-    expr = encode_vp(facts, StructureAtom(1, 1), roles, {"verb": oper_ref("run_V")}, grammar)
+    expr = encode_skeleton(facts, ("mkVP", "verb"), roles, {"verb": oper_ref("run_V")}, grammar)
     assert render_expr(expr) == "mkVP (mkVP run_V ) quickly_Adv"
     assert render_expr(grammar.opers["quickly_Adv"].definition) == 'mkAdv "quickly"'
 

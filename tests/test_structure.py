@@ -89,7 +89,8 @@ def test_corpus_recognition_counts(fixtures_dir):
 
 
 # Relations named like derived predicates (structure, adj_mod, preposition)
-# must read as any other unknown relation does.
+# or like the token-tag facts of the fact program (pos_tag) must read as any
+# other unknown relation does.
 NAMED_LIKE_DERIVED = """# sent_id = clash
 # text = Bill plays popular board games with friends.
 1\tBill\tBill\tPROPN\tNNP\t_\t2\tnsubj\t_\t_
@@ -102,7 +103,8 @@ NAMED_LIKE_DERIVED = """# sent_id = clash
 8\ttoday\ttoday\tNOUN\tNN\t_\t2\tstructure\t_\t_
 9\treally\treally\tADV\tRB\t_\t3\tadj_mod\t_\t_
 10\tthere\tthere\tADV\tRB\t_\t7\tpreposition\t_\t_
-11\t.\t.\tPUNCT\t.\t_\t2\tpunct\t_\t_
+11\tagain\tagain\tADV\tRB\t_\t2\tpos_tag\t_\t_
+12\t.\t.\tPUNCT\t.\t_\t2\tpunct\t_\t_
 """
 
 
@@ -113,7 +115,7 @@ def test_relations_named_like_derived_predicates(tmp_path, capsys):
     from gfgen.ingest import parse_conllu
 
     neutral = NAMED_LIKE_DERIVED
-    for relation in ("structure", "adj_mod", "preposition"):
+    for relation in ("structure", "adj_mod", "preposition", "pos_tag"):
         neutral = neutral.replace("\t%s\t" % relation, "\tdep\t")
     (clash,) = parse_conllu(NAMED_LIKE_DERIVED)
     (plain,) = parse_conllu(neutral)
@@ -131,3 +133,7 @@ def test_relations_named_like_derived_predicates(tmp_path, capsys):
     path.write_text(NAMED_LIKE_DERIVED, encoding="utf-8")
     assert main(["synthesize", str(path), "--dump-structures"]) == 0
     assert capsys.readouterr().out == "clash\t2\t2\n"
+    assert main(["synthesize", str(path), "--dump-models"]) == 0
+    assert capsys.readouterr().out == "% sentence clash\nstructure(1,1).\nstructure(2,2).\n"
+    assert main(["synthesize", str(path), "-o", str(tmp_path / "out")]) == 0
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["frag_clash.json"]
