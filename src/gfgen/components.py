@@ -17,9 +17,6 @@ ROLE_ORDER = ("sub", "verb", "verb_1", "verb_2", "obj", "adj")
 
 COPULAR_OBJ_TAGS = {"nn", "nns", "cd"}
 
-COMPLEMENT_KINDS = frozenset(h.predicate for r in engine.COMPLEMENT_RULES for h in r.heads)
-
-
 class UnsupportedCopularComplement(ValueError):
     """Copular head tagged outside the supported jj/nn/nns/cd set."""
 
@@ -52,7 +49,7 @@ class ComponentMap:
 
 @dataclass(frozen=True)
 class ComplementAttachment:
-    kind: str  # one of COMPLEMENT_KINDS
+    kind: str  # one of engine.COMPLEMENT_KINDS
     host: int
     dependent: int
     case_marker: int = None
@@ -133,10 +130,7 @@ def main_components(facts, selected):
 
 def complements(facts, pos):
     """All complement attachments anchored at one token, in dependent order."""
-    found = [
-        a for a in facts.model.derived if a.predicate in COMPLEMENT_KINDS and a.args[0] == pos
-    ]
-    found.sort(key=lambda a: (a.args[1], a.predicate, a.args))
+    found = facts.complements_by_host.get(pos, ())
     return [ComplementAttachment(a.predicate, *a.args) for a in found]
 
 

@@ -339,6 +339,7 @@ COMPLEMENT_RULES = Program((
     ),
     rule([atom("adverbial_modifier", "H", "ADV")], [atom("advmod", "H", "ADV")]),
 ))
+COMPLEMENT_KINDS = frozenset(h.predicate for r in COMPLEMENT_RULES for h in r.heads)
 
 # The program each sentence is analysed with; no head feeds a body, so one
 # pass reaches its fixpoint.

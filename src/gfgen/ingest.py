@@ -115,6 +115,16 @@ class SentenceFacts:
         """The sentence program's model: structure readings and complements."""
         return engine.derive(self.fact_index, engine.SENTENCE_RULES)
 
+    @cached_property
+    def complements_by_host(self):
+        """The model's complement atoms grouped by host token, each group in
+        (dependent, predicate, args) order."""
+        groups = {}
+        found = [a for a in self.model.derived if a.predicate in engine.COMPLEMENT_KINDS]
+        for a in sorted(found, key=lambda a: (a.args[1], a.predicate, a.args)):
+            groups.setdefault(a.args[0], []).append(a)
+        return groups
+
     def token(self, index):
         return self._by_index[index]
 
@@ -126,9 +136,6 @@ class SentenceFacts:
         return sorted(
             (d for d in self.deps if d.head == head), key=lambda d: d.dependent
         )
-
-    def deps_with_relation(self, relation):
-        return sorted(d for d in self.deps if d.relation == relation)
 
     @property
     def root_indices(self):

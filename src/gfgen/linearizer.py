@@ -7,18 +7,22 @@ node metadata (default singular); copulas, "to" and list commas are the only
 inserted material.  Output is verbatim lexeme text: no capitalization, no
 articles, single spaces.
 
-One rule table, ``_RULES``, keyed by constructor and argument value types,
-realizes every node.  Values are kept per grammar: an oper (ambient ones
-included) or a function without arguments is evaluated on first use only.  A
-function with arguments is compiled once per grammar into a plan that folds
-its argument-free subexpressions to values and closes over the arguments for
-the rest; ``linearize_expr`` uses the same compile step.  No error is stored,
-so a dangling reference or an ill-typed node raises on every use.  Each entry
-is computed from immutable definitions alone, so a race only recomputes it.
+Phrase values are immutable named tuples.  One rule table, ``_RULES``, keyed
+by constructor and the exact types of the argument values, realizes every
+node, so two value types with equal fields never stand in for each other.
+Values are kept per grammar: an oper (ambient ones included) or a function
+without arguments is evaluated on first use only.  A function with arguments
+is compiled once per grammar into a plan that folds its argument-free
+subexpressions to values and reads each argument by its position in the
+function's ``arg_names``; ``linearize`` evaluates the arguments before it
+compiles or runs the plan, and ``linearize_expr`` uses the same compile step.
+No error is stored, so a dangling reference or an ill-typed node raises on
+every use.  Each entry is computed from immutable definitions alone, so a
+race only recomputes it.
 """
 
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from . import morph
 from .encoder import App, Lit, Ref, ambient_category
@@ -39,61 +43,50 @@ class RealizeTypeError(TypeError):
     """Ill-typed expression reached the realizer."""
 
 
-@dataclass(frozen=True)
-class NPv:
+class NPv(NamedTuple):
     text: str
     number: str  # "sg" | "pl"
 
 
-@dataclass(frozen=True)
-class Nv:
+class Nv(NamedTuple):
     singular: str
     plural: str
 
 
-@dataclass(frozen=True)
-class CNv:
+class CNv(NamedTuple):
     singular: str
     plural: str
 
 
-@dataclass(frozen=True)
-class Av:
+class Av(NamedTuple):
     text: str
 
 
-@dataclass(frozen=True)
-class APv:
+class APv(NamedTuple):
     text: str
 
 
-@dataclass(frozen=True)
-class AdAv:
+class AdAv(NamedTuple):
     text: str
 
 
-@dataclass(frozen=True)
-class Advv:
+class Advv(NamedTuple):
     text: str
 
 
-@dataclass(frozen=True)
-class Prepv:
+class Prepv(NamedTuple):
     text: str
 
 
-@dataclass(frozen=True)
-class Conjv:
+class Conjv(NamedTuple):
     text: str
 
 
-@dataclass(frozen=True)
-class ListNPv:
+class ListNPv(NamedTuple):
     items: tuple
 
 
-@dataclass(frozen=True)
-class VerbLex:
+class VerbLex(NamedTuple):
     lemma: str
     third: str = None
     participle: str = None
@@ -114,23 +107,19 @@ class VerbLex:
         return (head + "_" if head else "") + morph.past_participle(last)
 
 
-@dataclass(frozen=True)
-class V2v:
+class V2v(NamedTuple):
     verb: VerbLex
 
 
-@dataclass(frozen=True)
-class Vv:
+class Vv(NamedTuple):
     verb: VerbLex
 
 
-@dataclass(frozen=True)
-class VVv:
+class VVv(NamedTuple):
     verb: VerbLex
 
 
-@dataclass(frozen=True)
-class VPv:
+class VPv(NamedTuple):
     kind: str  # "v" | "v2" | "vv" | "passive"
     verb: VerbLex = None
     obj: NPv = None
@@ -185,22 +174,20 @@ _RULES = {
         [("mkCl", NPv, APv), ("mkCl", NPv, NPv)],
         lambda node, subj, pred: _join([subj.text, _be(subj.number), pred.text]),
     ),
-    ("mkVP", V2v, NPv): lambda node, v, obj: VPv(kind="v2", verb=v.verb, obj=obj),
-    ("mkVP", Vv): lambda node, v: VPv(kind="v", verb=v.verb),
-    ("mkVP", VVv, VPv): lambda node, v, inner: VPv(kind="vv", verb=v.verb, inner=inner),
-    ("mkVP", VPv, Advv): lambda node, vp, adv: VPv(
-        kind=vp.kind, verb=vp.verb, obj=vp.obj, inner=vp.inner, advs=vp.advs + (adv.text,)
-    ),
-    ("passiveVP", V2v): lambda node, v: VPv(kind="passive", verb=v.verb),
+    ("mkVP", V2v, NPv): lambda node, v, obj: VPv("v2", v.verb, obj),
+    ("mkVP", Vv): lambda node, v: VPv("v", v.verb),
+    ("mkVP", VVv, VPv): lambda node, v, inner: VPv("vv", v.verb, inner=inner),
+    ("mkVP", VPv, Advv): lambda node, vp, adv: vp._replace(advs=vp.advs + (adv.text,)),
+    ("passiveVP", V2v): lambda node, v: VPv("passive", v.verb),
     **dict.fromkeys(
         [("mkNP", Nv), ("mkNP", CNv)],
         lambda node, noun: NPv(
-            text=noun.plural if node.num == "pl" else noun.singular, number=node.num or "sg"
+            noun.plural if node.num == "pl" else noun.singular, node.num or "sg"
         ),
     ),
     ("mkNP", NPv, Advv): lambda node, np, adv: NPv(_join([np.text, adv.text]), np.number),
     ("mkNP", Conjv, ListNPv): lambda node, conj, nps: NPv(
-        text=_conj_join([np.text for np in nps.items], conj.text), number="pl"
+        _conj_join([np.text for np in nps.items], conj.text), "pl"
     ),
     ("mkCN", Nv): lambda node, noun: CNv(noun.singular, noun.plural),
     **dict.fromkeys(
@@ -251,21 +238,31 @@ def _ambient_value(name):
 def _compile(expr, grammar, scope):
     """``expr``'s value, or its plan if it reads an argument named in ``scope``.
 
-    A plan is a function of the argument environment; no value is callable.
-    Argument-free subexpressions are folded to their values here.
+    A plan is a function of the argument values, in ``scope``'s order; no
+    value is callable.  Argument-free subexpressions are folded to their
+    values here, and each plan node evaluates only its parts that are plans.
     """
     if isinstance(expr, App):
         parts = [_compile(a, grammar, scope) for a in expr.args]
-        if not (scope and any(map(callable, parts))):
+        # with no argument in scope no part is a plan
+        plans = scope and [(i, p) for i, p in enumerate(parts) if callable(p)]
+        if not plans:
             return _realize(expr, parts)
-        return lambda env: _realize(expr, [p(env) if callable(p) else p for p in parts])
+
+        def plan(args):
+            values = parts.copy()
+            for i, part in plans:
+                values[i] = part(args)
+            return _realize(expr, values)
+
+        return plan
     if isinstance(expr, Lit):
         return expr.text
     if isinstance(expr, Ref):
         if expr.kind == "arg":
             if expr.name not in scope:
                 raise LookupError_("unbound argument %s" % expr.name)
-            return itemgetter(expr.name)
+            return itemgetter(scope.index(expr.name))
         if expr.kind != "oper" and grammar.function(expr.name).arg_names:
             raise RealizeTypeError("function %s used without arguments" % expr.name)
         return _definition(grammar, expr.kind, expr.name)
@@ -295,17 +292,20 @@ def _definition(grammar, kind, name):
 
 
 def linearize_expr(expr, grammar, env=None):
-    """Evaluate a constructor expression to a typed phrase value."""
+    """Evaluate a constructor expression to a typed phrase value.
+
+    ``env`` maps the argument names the expression reads to their values.
+    """
     env = env or {}
-    value = _compile(expr, grammar, env)
-    return value(env) if callable(value) else value
+    value = _compile(expr, grammar, tuple(env))
+    return value(tuple(env.values())) if callable(value) else value
 
 
 def _argument_value(grammar, text):
     """CLI/test argument: a function name, else an opaque NP symbol."""
     fun = grammar.function(text, None)
     if fun is None:
-        return NPv(text=text.replace("_", " "), number="sg")
+        return NPv(text.replace("_", " "), "sg")
     if fun.arg_names:
         raise RealizeTypeError("argument function %s needs arguments itself" % text)
     return _definition(grammar, "fun", text)
@@ -324,12 +324,10 @@ def linearize(grammar, function_name, args=(), period=False):
             "function %s takes %d arguments, got %d"
             % (function_name, len(fun.arg_names), len(args))
         )
-    env = {}
-    for name, arg in zip(fun.arg_names, args):
-        env[name] = arg if isinstance(arg, NPv) else _argument_value(grammar, str(arg))
+    values = [arg if isinstance(arg, NPv) else _argument_value(grammar, str(arg)) for arg in args]
     value = _definition(grammar, "fun", function_name)
     if callable(value):
-        value = value(env)
+        value = value(values)
     if not isinstance(value, str):
         raise RealizeTypeError(
             "function %s does not linearize to a sentence" % function_name

@@ -91,8 +91,29 @@ def _build_annotation(predicate, arity, sentence):
     )
 
 
+class Annotations(list):
+    """Loaded annotations in file order, read-only, indexed by (predicate, arity).
+
+    The last record of a (predicate, arity) wins.  Every mutator raises, so
+    the index built here cannot go stale.
+    """
+
+    def __init__(self, annotations=()):
+        super().__init__(annotations)
+        self.by_key = {(a.predicate, a.arity): a for a in self}
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("loaded annotations are read-only")
+
+    def __reduce__(self):  # copy and pickle without the mutators
+        return Annotations, (list(self),)
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
+    append = extend = insert = pop = remove = clear = sort = reverse = _read_only
+
+
 def load_annotations(text):
-    """Parse annotation records (``predicate/arity<TAB>sentence`` per line)."""
+    """Parse annotation records (``predicate/arity<TAB>sentence`` per line) into ``Annotations``."""
     annotations = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -109,15 +130,17 @@ def load_annotations(text):
         except ValueError:
             raise AnnotationError("line %d: non-integer arity %r" % (lineno, arity_text))
         annotations.append(_build_annotation(predicate.strip(), arity, sentence.strip()))
-    return annotations
+    return Annotations(annotations)
 
 
 def _annotation_index(annotations):
-    return {(a.predicate, a.arity): a for a in annotations}
+    if not isinstance(annotations, Annotations):
+        annotations = Annotations(annotations)
+    return annotations.by_key
 
 
 def _sentence(annotation, args):
-    symbols = [NPv(text=a.replace("_", " "), number="sg") for a in args]
+    symbols = [NPv(a.replace("_", " "), "sg") for a in args]
     text = linearize(annotation.grammar, annotation.function_name, args=symbols)
     return text[:1].upper() + text[1:]
 

@@ -33,9 +33,11 @@ from gfgen.linearizer import (
     Prepv,
     RealizeTypeError,
     V2v,
+    VerbLex,
     VPv,
     Vv,
     VVv,
+    _realize,
     inflect_verb_3sg,
     linearize,
     linearize_expr,
@@ -316,3 +318,58 @@ def test_every_constructor_signature_has_a_realization_rule():
         if (fn, *(CATEGORY_VALUES[cat] for cat in inputs)) not in _RULES
     ]
     assert missing == []
+
+
+READ = VerbLex("read")
+SAMPLE_VALUES = {
+    str: "x",
+    Nv: Nv("x", "xs"),
+    CNv: CNv("x", "xs"),
+    NPv: NPv(text="x", number="sg"),
+    ListNPv: ListNPv((NPv("x", "sg"), NPv("y", "sg"))),
+    Av: Av("x"),
+    APv: APv("x"),
+    AdAv: AdAv("x"),
+    Advv: Advv("x"),
+    Prepv: Prepv("x"),
+    Conjv: Conjv("x"),
+    V2v: V2v(READ),
+    Vv: Vv(READ),
+    VVv: VVv(READ),
+    VPv: VPv(kind="v", verb=READ),
+    VerbLex: READ,
+}
+
+
+@pytest.mark.parametrize("value", [v for v in SAMPLE_VALUES.values() if not isinstance(v, str)])
+def test_values_reject_attribute_assignment(value):
+    before = tuple(value)
+    for name in value._fields + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(value, name, "y")
+    assert tuple(value) == before
+
+
+def test_rules_never_accept_a_value_of_another_type_with_equal_fields():
+    value = linearize_expr(app("mkAP", arg_ref("a")), merge([]), {"a": Av("x")})
+    assert type(value) is APv and value.text == "x"
+    with pytest.raises(RealizeTypeError):
+        linearize_expr(app("mkAP", arg_ref("a")), merge([]), {"a": APv("x")})
+    value_types = [t for t in SAMPLE_VALUES if t is not str]
+    swapped = 0
+    for fn, *types in _RULES:
+        node = app(fn)
+        values = [SAMPLE_VALUES[t] for t in types]
+        _realize(node, values)  # the rule's own types realize
+        for i, t in enumerate(types):
+            for other in value_types:
+                if t is str or other is t or other._fields != t._fields:
+                    continue
+                twin = values[:i] + [other(*values[i])] + values[i + 1 :]
+                assert twin == values  # equal as tuples, yet not the same values
+                if (fn, *types[:i], other, *types[i + 1 :]) in _RULES:
+                    continue
+                swapped += 1
+                with pytest.raises(RealizeTypeError):
+                    _realize(node, twin)
+    assert swapped > 20

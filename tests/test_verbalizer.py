@@ -1,3 +1,6 @@
+import copy
+import random
+
 import pytest
 
 from gfgen.verbalizer import (
@@ -176,3 +179,76 @@ def test_output_order_is_input_order(phylo_annotations):
     ]
     text = verbalize_atoms(atoms, phylo_annotations)
     assert text.startswith("Type of web link is url. Input of service is web link.")
+
+
+# (annotation sentence, expected sentence) per shape, over $1/$2 and {0}/{1}: the
+# realizer drops the article, keeps the observed verb form and capitalizes the
+# first letter
+TEMPLATE_SHAPES = [
+    ("{w}_of", "The {w} of $1 is $2", "{w} of {0} is {1}", ["capital", "owner", "input"]),
+    ("is_{w}_of", "$1 is the {w} of $2", "{0} is {w} of {1}", ["author", "type", "output"]),
+    ("{w}", "$1 {w} $2", "{0} {w} {1}", ["reads", "owns", "watches", "studies"]),
+]
+
+
+def test_verbalization_equals_the_template_oracle():
+    templates, lines = {}, []
+    for predicate, annotation, expected, words in TEMPLATE_SHAPES:
+        for w in words:
+            lines.append("%s/2\t%s" % (predicate.format(w=w), annotation.format(w=w)))
+            templates[predicate.format(w=w)] = expected.replace("{w}", w)
+    annotations = load_annotations("\n".join(lines))
+    assert [a.predicate for a in annotations] == list(templates)
+
+    def sentence(template, subject, obj):
+        text = template.format(subject.replace("_", " "), obj.replace("_", " "))
+        return text[:1].upper() + text[1:] + "."
+
+    rng = random.Random(13)
+    # symbols spelling the annotation grammars' own functions stay plain text
+    functions = sorted({n for a in annotations for n in a.grammar.function_names()})
+    assert {"Read", "Own", "sent_reads_2", "sent_capital_of_2"} <= set(functions)
+    words = ["Kevin", "web", "link", "Daily", "Mirror", "cow", "x1", "names"]
+    symbols = functions + ["_".join(rng.sample(words, rng.randint(1, 3))) for _ in range(40)]
+    predicates = sorted(templates)
+    for _ in range(150):
+        facts = [
+            (rng.choice(predicates + ["rdf:type"]), rng.choice(symbols), rng.choice(symbols))
+            for _ in range(rng.randint(1, 6))
+        ]
+        expected = [
+            sentence(templates.get(p, "{0} is {1}"), subject, obj) for p, subject, obj in facts
+        ]
+        atoms = [GroundAtom(p, (s, o)) for p, s, o in facts if p != "rdf:type"]
+        assert verbalize_atoms(atoms, annotations) == " ".join(
+            e for e, (p, _, _) in zip(expected, facts) if p != "rdf:type"
+        )
+        triples = [Triple(s, p, o) for p, s, o in facts]
+        assert verbalize_triples(triples, annotations) == expected
+
+
+def test_loaded_annotations_are_read_only_and_stay_indexed(phylo_annotations):
+    before = list(phylo_annotations)
+    for mutate in [
+        lambda a: a.append(before[0]),
+        lambda a: a.extend(before),
+        lambda a: a.insert(0, before[0]),
+        lambda a: a.pop(),
+        lambda a: a.remove(before[0]),
+        lambda a: a.clear(),
+        lambda a: a.sort(key=id),
+        lambda a: a.reverse(),
+        lambda a: a.__setitem__(0, before[1]),
+        lambda a: a.__delitem__(0),
+        lambda a: a.__iadd__(before),
+        lambda a: a.__imul__(2),
+    ]:
+        with pytest.raises(TypeError):
+            mutate(phylo_annotations)
+    assert phylo_annotations == before
+    copied = copy.deepcopy(phylo_annotations)
+    assert [a.predicate for a in copied] == [a.predicate for a in before]
+    assert copied.by_key.keys() == phylo_annotations.by_key.keys()
+    # a plain list of annotations verbalizes alike
+    atoms = [GroundAtom("typeof", ("web_link", "url"))]
+    assert verbalize_atoms(atoms, before) == verbalize_atoms(atoms, phylo_annotations)
