@@ -11,20 +11,13 @@ rendered and compared.
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import count, repeat
+from itertools import chain
+from operator import attrgetter
 
-from .encoder import (
-    App,
-    GfFunction,
-    GfOper,
-    Lit,
-    Ref,
-    SentenceGrammar,
-    function_from_dict,
-    function_to_dict,
-    oper_from_dict,
-    oper_to_dict,
-)
+from .encoder import App, GfFunction, GfOper, Lit, Ref, SentenceGrammar
+
+
+_NAME, _LIN, _SIG = attrgetter("name"), attrgetter("lin"), attrgetter("arg_cats", "result")
 
 
 class LookupError_(KeyError):
@@ -45,8 +38,12 @@ class GfGrammar:
     The name index behind ``function`` is built once, at construction, and
     the linearizer keeps each oper's and function's value or plan in
     ``_values`` from its first use on, so neither ``functions`` nor ``opers``
-    may change afterwards.  An entry is computed from those definitions
-    alone, so threads that race on it can only store the same value twice.
+    may change afterwards.  An oper's entry is keyed ("oper", name), that of
+    a function with arguments ("fun", name), and that of a function without
+    arguments the identity of its body: ``functions`` keeps every body alive,
+    so no identity is reused while the grammar and its ``_values`` live.  An
+    entry is computed from those definitions alone, so threads that race on
+    it can only store the same value twice.
     """
 
     start_category: str = "Message"
@@ -155,6 +152,21 @@ def _function_key(name, bodies, keys, text, refs):
     return keys[name]
 
 
+def _renamed_funs(lin, finals, refs, rename):
+    """``lin`` with each function reference renamed to its final name in ``finals``."""
+    renames = frozenset(
+        ((ref, "fun"), finals[ref]) for ref in refs(lin) if finals.get(ref, ref) != ref
+    )
+    return rename(lin, renames) if renames else lin
+
+
+def _built(fun, name, lin):
+    """``fun`` under ``name`` with body ``lin``: ``fun`` itself where neither changes."""
+    if name == fun.name and lin is fun.lin:
+        return fun
+    return GfFunction(name, fun.arg_names, fun.arg_cats, fun.result, lin)
+
+
 def _suffixed_oper_name(name, n):
     # keep the category suffix last: popular_A -> popular_2_A
     base, _, cat = name.rpartition("_")
@@ -167,13 +179,37 @@ def _suffixed_fun_name(name, n):
     return "%s_%d" % (name, n)
 
 
-def _functions(src):
-    """A merge input's functions as (sentence id, position, function) entries."""
+def _placed(src):
+    """A merge input as (sentence id, places, functions); see ``_place``.
+
+    A fragment's places are None; a grammar's entries each carry their own
+    (sentence id, position), and its sentence id is "".
+    """
     if isinstance(src, SentenceGrammar):
-        return zip(repeat(src.sentence_id), count(), src.functions)
+        return str(src.sentence_id), None, src.functions
     if isinstance(src, GfGrammar):
-        return src.functions
+        places = tuple((str(sid), intra) for sid, intra, _ in src.functions)
+        return "", places, [fun for _, _, fun in src.functions]
     raise TypeError("cannot merge %r" % (src,))
+
+
+def _place(places, sid, i):
+    """(sentence id, position) of a source's i-th entry: a fragment's are its own id and i."""
+    return (sid, i) if places is None else places[i]
+
+
+class _Shape:
+    """The merge work of the sources of one shape, done once: see ``merge``.
+
+    ``colliding`` lists each colliding entry's (position, merge key) and
+    ``kept`` the positions of the other entries that stay; ``lins`` holds
+    each entry's body after the oper renames and, once ``merge`` has fixed
+    the names, after the function renames; ``keys`` holds the function keys
+    of ``_function_key``.  ``best`` is the least (sentence id, source index,
+    functions) among the shape's sources.
+    """
+
+    __slots__ = ("colliding", "kept", "lins", "keys", "best")
 
 
 def _name_variants(variants_by_name, taken, suffixed, order):
@@ -215,11 +251,12 @@ def _union(sources):
     functions, opers = [], {}
     names = set()
     for src in sources:
-        for sid, intra, fun in _functions(src):
+        sid, places, funs = _placed(src)
+        for i, fun in enumerate(funs):
             if fun.name in names:
                 return None
             names.add(fun.name)
-            functions.append((str(sid), intra, fun))
+            functions.append((*_place(places, sid, i), fun))
         for name, oper in src.opers.items():
             if opers.setdefault(name, oper) is not oper or oper.name != name:
                 return None
@@ -232,11 +269,17 @@ def merge(sources):
 
     When no name collides the result is the plain union.  Otherwise only a
     name that more than one source defines can collide, so only those
-    definitions are rendered and keyed; every other keeps its name.  Decoded
-    fragments share their expression nodes and opers, so a memo keys each
-    body by its identity: each distinct body object is rendered, renamed and
-    walked for references once per call, and an oper name that every source
-    gives one object is not rendered at all.
+    definitions are rendered and keyed; every other keeps its name.  Each
+    piece of work is done once per distinct input it reads, in memos that
+    live for this call only.  Decoded fragments share their expression nodes
+    and opers, so each distinct body object is rendered, renamed and walked
+    for references once, and an oper name that every source gives one object
+    is not rendered at all.  A source's own work (its oper renames, function
+    keys and renamed bodies) is done once per shape: the places of its
+    entries, the identities of its bodies and opers, its argument categories
+    and results, and the names that collide or that some body references.
+    The replicas of one sentence differ only in their sentence function's
+    name, so they share a shape, and each adds no more than its entries.
     """
     sources = list(sources)  # read more than once
     categories = {"Message"}
@@ -251,17 +294,37 @@ def merge(sources):
         functions, opers = union
         return GfGrammar(categories=categories, lincats=lincats, functions=functions, opers=opers)
 
-    fun_sources = Counter(
-        name for src in sources for name in {f.name for _, _, f in _functions(src)}
-    )
+    # one pass: each source's function names, and the sources grouped by all
+    # else that their merge work reads: their places, the identities of their
+    # bodies, their argument categories and results, and their opers
+    defined = []  # each source's function names, once per source
+    # group -> (its opers, its sources as (sentence id, index, names, twice, functions))
+    groups = {}
+    for index, src in enumerate(sources):
+        sid, places, funs = _placed(src)
+        names = tuple(map(_NAME, funs))
+        distinct = set(names)
+        defined.extend(distinct)
+        group = (
+            places,
+            tuple(map(id, map(_LIN, funs))),
+            tuple(map(_SIG, funs)),
+            tuple(src.opers),
+            tuple(map(id, src.opers.values())),
+        )
+        members = groups.get(group)
+        if members is None:
+            members = groups[group] = (src.opers, [])
+        members[1].append((sid, index, names, len(distinct) < len(names), funs))
+    fun_variants = {name: {} for name, n in Counter(defined).items() if n > 1}
+    oper_objects = defaultdict(dict)  # name -> {id: oper}, one entry per distinct object
+    for opers, _ in groups.values():
+        for name, oper in opers.items():
+            oper_objects[name][id(oper)] = oper
+
     memo = {}  # see _once
     text, refs = partial(_once, memo, render_expr), partial(_once, memo, _fun_refs)
     rename = partial(_once, memo, _rename_expr)
-
-    oper_objects = defaultdict(dict)  # name -> {id: oper}, one entry per distinct object
-    for src in sources:
-        for name, oper in src.opers.items():
-            oper_objects[name][id(oper)] = oper
 
     # global, order-independent rename plan for colliding oper definitions
     oper_variants = {
@@ -273,55 +336,80 @@ def merge(sources):
     # the names that some source's oper is renamed from
     split = {name for name, variants in oper_variants.items() if len(variants) > 1}
 
-    # a colliding name's key stands for one final name, so for one body:
-    # identical functions collapse to the entry with the least (sentence id,
-    # position), so fragment order cannot leak into the result; only that
-    # entry is renamed and built
-    fun_variants = {name: {} for name, n in fun_sources.items() if n > 1}
-    collapsed = {}  # name, or (name, key) where names collide -> least entry
-    for src in sources:
-        renames = frozenset(
-            ((name, "oper"), final)
-            for name in split.intersection(src.opers)
-            if (final := oper_variants[name][text(src.opers[name].definition)]) != name
-        )
+    # a source's work reads a function name only where it collides or some
+    # body references it; within a group, its shape masks out every other name
+    referenced = (
+        ref for _, members in groups.values() for fun in members[0][4] for ref in refs(fun.lin)
+    )
+    named = {name: name for name in chain(fun_variants, referenced)}
+
+    def shape_of(places, names, funs, renames):
+        shape = _Shape()
         bodies = {}  # a name defined twice keeps its first definition, as lookup does
-        for _, _, fun in _functions(src):
+        for fun in funs:
             if fun.name not in bodies:
                 bodies[fun.name] = (fun, rename(fun.lin, renames) if renames else fun.lin)
-        keys = {}
-        for sid, intra, fun in _functions(src):
-            name = fun.name
+        shape.keys, shape.colliding, stays = {}, [], {}
+        for i, name in enumerate(names):
             if name in fun_variants:
-                key = _function_key(name, bodies, keys, text, refs)
+                key = _function_key(name, bodies, shape.keys, text, refs)
                 fun_variants[name][key] = None
-                name = (name, key)
-            sid = str(sid)
-            best = collapsed.get(name)
-            if best is None or (sid, intra) < best[:2]:
-                collapsed[name] = (sid, intra, fun, bodies[fun.name][1], keys)
+                shape.colliding.append((i, (name, key)))
+            elif name not in stays or _place(places, "", i) < stays[name][0]:
+                stays[name] = (_place(places, "", i), i)  # a name stays at its least place
+        shape.kept = sorted(i for _, i in stays.values())
+        shape.lins = [bodies[name][1] for name in names]
+        shape.best = None
+        return shape
+
+    # identical functions collapse to the entry with the least (sentence id,
+    # position), then source index, so fragment order cannot leak into the
+    # result; only that entry is renamed and built
+    shapes = []
+    collapsed = {}  # merge key -> least ((place, source index), function, shape, position)
+    kept = []  # (place, function, shape, position) of each other entry that stays
+    for (places, *_), (opers, members) in groups.items():
+        renames = frozenset(
+            ((name, "oper"), final)
+            for name in split.intersection(opers)
+            if (final := oper_variants[name][text(opers[name].definition)]) != name
+        )
+        by_names = {}
+        for sid, index, names, twice, funs in members:
+            # a source that defines a name twice is keyed by all its names
+            masked = names if twice else tuple(map(named.get, names))
+            shape = by_names.get(masked)
+            if shape is None:
+                shape = by_names[masked] = shape_of(places, names, funs, renames)
+                shapes.append(shape)
+            if shape.best is None or (sid, index) < shape.best[:2]:
+                shape.best = (sid, index, funs)
+            for i in shape.kept:
+                kept.append((_place(places, sid, i), funs[i], shape, i))
+        for shape in by_names.values():
+            sid, index, funs = shape.best
+            for i, key in shape.colliding:
+                rank = (_place(places, sid, i), index)
+                best = collapsed.get(key)
+                if best is None or rank < best[0]:
+                    collapsed[key] = (rank, funs[i], shape, i)
     _name_variants(
-        fun_variants, set(fun_sources), _suffixed_fun_name, lambda keys: sorted(keys, key=repr)
+        fun_variants, set(defined), _suffixed_fun_name, lambda keys: sorted(keys, key=repr)
     )
 
-    def final_name(name, keys):
-        return fun_variants[name][keys[name]] if name in fun_variants and name in keys else name
-
-    functions = []
-    for sid, intra, fun, lin, keys in collapsed.values():
-        final = fun.name
-        if keys:  # else its fragment has no colliding function to rename
-            final = final_name(fun.name, keys)
-            renames = frozenset(
-                ((name, "fun"), to)
-                for name in refs(lin)
-                if (to := final_name(name, keys)) != name
-            )
-            if renames:
-                lin = rename(lin, renames)
-        if final != fun.name or lin is not fun.lin:
-            fun = GfFunction(final, fun.arg_names, fun.arg_cats, fun.result, lin)
-        functions.append((sid, intra, fun))
+    for shape in shapes:
+        if shape.keys:  # else its sources have no colliding function to rename
+            finals = {
+                name: fun_variants[name][key]
+                for name, key in shape.keys.items()
+                if name in fun_variants
+            }
+            shape.lins = [_renamed_funs(lin, finals, refs, rename) for lin in shape.lins]
+    functions = [
+        (*place, _built(fun, fun_variants[name][key], shape.lins[i]))
+        for (name, key), ((place, _), fun, shape, i) in collapsed.items()
+    ]
+    functions += [(*place, _built(fun, fun.name, shape.lins[i])) for place, fun, shape, i in kept]
     functions.sort(key=lambda item: (item[0], item[1], item[2].name))
 
     final_opers = {}
@@ -395,29 +483,3 @@ def render(grammar, name):
     concrete.append("}")
 
     return "\n".join(abstract) + "\n", "\n".join(concrete) + "\n"
-
-
-def grammar_to_dict(grammar):
-    return {
-        "start_category": grammar.start_category,
-        "categories": sorted(grammar.categories),
-        "lincats": dict(sorted(grammar.lincats.items())),
-        "functions": [
-            {"sentence_id": sid, "intra": intra, **function_to_dict(f)}
-            for sid, intra, f in grammar.functions
-        ],
-        "opers": [oper_to_dict(o) for o in sorted(grammar.opers.values(), key=lambda o: o.name)],
-    }
-
-
-def grammar_from_dict(d):
-    return GfGrammar(
-        start_category=d.get("start_category", "Message"),
-        categories=set(d["categories"]),
-        lincats=dict(d["lincats"]),
-        functions=[
-            (f.get("sentence_id", ""), f.get("intra", 0), function_from_dict(f))
-            for f in d["functions"]
-        ],
-        opers={o["name"]: oper_from_dict(o) for o in d["opers"]},
-    )

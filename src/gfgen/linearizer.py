@@ -10,15 +10,20 @@ articles, single spaces.
 Phrase values are immutable named tuples.  One rule table, ``_RULES``, keyed
 by constructor and the exact types of the argument values, realizes every
 node, so two value types with equal fields never stand in for each other.
-Values are kept per grammar: an oper (ambient ones included) or a function
-without arguments is evaluated on first use only.  A function with arguments
-is compiled once per grammar into a plan that folds its argument-free
-subexpressions to values and reads each argument by its position in the
-function's ``arg_names``; ``linearize`` evaluates the arguments before it
-compiles or runs the plan, and ``linearize_expr`` uses the same compile step.
-No error is stored, so a dangling reference or an ill-typed node raises on
-every use.  Each entry is computed from immutable definitions alone, so a
-race only recomputes it.
+Values are kept per grammar and computed on first use only: an oper
+(ambient ones included) under ("oper", name), and a function without
+arguments under the identity of its body, since within one grammar that
+body alone fixes its value; the replicas of a merged corpus share their
+bodies, so each distinct body is evaluated once.  A function with arguments
+is compiled once per grammar into a plan, kept under ("fun", name), that
+folds its argument-free subexpressions to values and reads each argument by
+its position in the function's ``arg_names``; ``linearize`` evaluates the
+arguments before it compiles or runs the plan, and ``linearize_expr`` uses
+the same compile step.  No error is stored, so a dangling reference, an
+ill-typed node or a reference cycle raises on every use.  A cycle is found
+from the definitions that one call is still compiling, never from a marker
+in the grammar, and each entry is computed from immutable definitions alone,
+so a race only recomputes it.
 """
 
 from operator import itemgetter
@@ -235,15 +240,17 @@ def _ambient_value(name):
     return Prepv(word) if cat == "Prep" else Conjv(word)
 
 
-def _compile(expr, grammar, scope):
+def _compile(expr, grammar, scope, active=()):
     """``expr``'s value, or its plan if it reads an argument named in ``scope``.
 
     A plan is a function of the argument values, in ``scope``'s order; no
     value is callable.  Argument-free subexpressions are folded to their
     values here, and each plan node evaluates only its parts that are plans.
+    ``active`` holds the ``_values`` key of each definition that this call
+    is still compiling, so a reference back to one of them is a cycle.
     """
     if isinstance(expr, App):
-        parts = [_compile(a, grammar, scope) for a in expr.args]
+        parts = [_compile(a, grammar, scope, active) for a in expr.args]
         # with no argument in scope no part is a plan
         plans = scope and [(i, p) for i, p in enumerate(parts) if callable(p)]
         if not plans:
@@ -263,30 +270,51 @@ def _compile(expr, grammar, scope):
             if expr.name not in scope:
                 raise LookupError_("unbound argument %s" % expr.name)
             return itemgetter(scope.index(expr.name))
-        if expr.kind != "oper" and grammar.function(expr.name).arg_names:
+        if expr.kind == "oper":
+            return _oper(grammar, expr.name, active)
+        fun = grammar.function(expr.name)
+        if fun.arg_names:
             raise RealizeTypeError("function %s used without arguments" % expr.name)
-        return _definition(grammar, expr.kind, expr.name)
+        return _function(grammar, fun, active)
     raise RealizeTypeError("not an expression: %r" % (expr,))
 
 
-def _definition(grammar, kind, name):
-    """The compiled oper or function ``name``, stored in the grammar on first use.
+def _function(grammar, fun, active=()):
+    """The compiled function ``fun``, stored in the grammar on first use.
 
-    That is its value, or its plan for a function with arguments.  Only a
+    That is its value, kept under the identity of its body, or for a
+    function with arguments its plan, kept under ("fun", name).  Only a
     compiled definition is stored, never an error.
     """
-    key = (kind, name)
+    key = ("fun", fun.name) if fun.arg_names else id(fun.lin)
     compiled = grammar._values.get(key)
     if compiled is None:
-        if kind != "oper":
-            fun = grammar.function(name)
-            compiled = _compile(fun.lin, grammar, fun.arg_names)
-        elif name in grammar.opers:
-            compiled = _compile(grammar.opers[name].definition, grammar, ())
-        else:
+        if key in active:
+            raise RealizeTypeError("cyclic reference to function %s" % fun.name)
+        active = active or []  # the first definition a call compiles starts its stack
+        active.append(key)
+        compiled = grammar._values[key] = _compile(fun.lin, grammar, fun.arg_names, active)
+        active.pop()
+    return compiled
+
+
+def _oper(grammar, name, active):
+    """The value of the oper ``name``, stored in the grammar under ("oper", name) on first use."""
+    key = ("oper", name)
+    compiled = grammar._values.get(key)
+    if compiled is None:
+        oper = grammar.opers.get(name)
+        if oper is None:
             compiled = _ambient_value(name)
             if compiled is None:
                 raise LookupError_("unknown oper %s" % name)
+        elif key in active:
+            raise RealizeTypeError("cyclic reference to oper %s" % name)
+        else:
+            active = active or []
+            active.append(key)
+            compiled = _compile(oper.definition, grammar, (), active)
+            active.pop()
         grammar._values[key] = compiled
     return compiled
 
@@ -308,7 +336,7 @@ def _argument_value(grammar, text):
         return NPv(text.replace("_", " "), "sg")
     if fun.arg_names:
         raise RealizeTypeError("argument function %s needs arguments itself" % text)
-    return _definition(grammar, "fun", text)
+    return _function(grammar, fun)
 
 
 def linearize(grammar, function_name, args=(), period=False):
@@ -325,7 +353,7 @@ def linearize(grammar, function_name, args=(), period=False):
             % (function_name, len(fun.arg_names), len(args))
         )
     values = [arg if isinstance(arg, NPv) else _argument_value(grammar, str(arg)) for arg in args]
-    value = _definition(grammar, "fun", function_name)
+    value = _function(grammar, fun)
     if callable(value):
         value = value(values)
     if not isinstance(value, str):

@@ -133,6 +133,8 @@ def verb_lemma_from_3sg(form):
         return IRREGULAR_LEMMAS_3SG[form]
     if form.endswith("ies") and len(form) > 4:
         return form[:-3] + "y"
+    if form.endswith(("ches", "shes", "xes", "sses", "zzes", "oes")):
+        return form[:-2]  # inflect_verb_3sg adds "es" after these endings
     if form.endswith("s") and not form.endswith("ss"):
         return form[:-1]
     return form

@@ -249,6 +249,42 @@ def test_bad_fragment_is_one_line_and_status_1(tmp_path, capsys, command, filena
     assert not (tmp_path / "W.gf").exists()
 
 
+A_REF = {"ref": "A", "kind": "fun"}
+CYCLIC_FRAGMENT = {
+    "sentence_id": "x",
+    "categories": ["Message", "NP"],
+    "lincats": {"Message": "Cl", "NP": "NP"},
+    "functions": [
+        {
+            "name": "A",
+            "args": [],
+            "result": "NP",
+            "lin": {"app": "mkNP", "args": [A_REF, A_REF]},
+        },
+        {
+            "name": "sent_x",
+            "args": [],
+            "result": "Message",
+            "lin": {"app": "mkCl", "args": [A_REF, A_REF]},
+        },
+    ],
+    "opers": [],
+}
+
+
+def test_cyclic_fragment_exports_and_linearizes_to_one_line_and_status_1(tmp_path, capsys):
+    path = tmp_path / "frag_x.json"
+    path.write_text(json.dumps(CYCLIC_FRAGMENT), encoding="utf-8")
+    assert main(["export", str(path), "-o", str(tmp_path / "W")]) == 0
+    assert "    A = mkNP A A ;" in (tmp_path / "WEng.gf").read_text(encoding="utf-8")
+    capsys.readouterr()
+    for _ in range(2):
+        assert main(["linearize", "--grammar", str(path), "--fun", "sent_x"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "gfgen: cyclic reference to function A\n"
+
+
 def test_export_into_missing_directory_is_one_line_and_status_1(tmp_path, capsys, fixtures_dir):
     outdir = tmp_path / "frags"
     main(["synthesize", str(fixtures_dir / "bill_game.conllu"), "-o", str(outdir)])

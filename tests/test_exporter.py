@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import json
@@ -25,8 +26,6 @@ from gfgen.exporter import (
     GfGrammar,
     LookupError_,
     MergeConflict,
-    grammar_from_dict,
-    grammar_to_dict,
     merge,
     render,
 )
@@ -289,6 +288,111 @@ def test_merge_of_decoded_corpus_in_either_order_matches_golden_and_hypotheses(f
         assert linearize(forward, name) == hypotheses[name[len("sent_"):]]
 
 
+# --- each distinct body's work done once ------------------------------------------
+
+
+def _corpus_x4(fixtures_dir):
+    """The corpus four times under distinct ids, decoded, so replicas share their bodies."""
+    return decoded([f for n in range(4) for f in corpus_fragments(fixtures_dir, "_r%d" % n)])
+
+
+def _reached_bodies(grammar, names):
+    """Identities of the bodies of ``names`` and of every function they reach."""
+    seen, todo = set(), list(names)
+    while todo:
+        fun = grammar.function(todo.pop())
+        if id(fun.lin) not in seen:
+            seen.add(id(fun.lin))
+            todo.extend(exporter._fun_refs(fun.lin))
+    return seen
+
+
+def test_merged_replicas_linearize_by_body_identity(fixtures_dir):
+    grammar = merge(_corpus_x4(fixtures_dir))
+    names = [name for name in grammar.function_names() if name.startswith("sent_")]
+    assert len(names) == 240
+    texts = {name: linearize(grammar, name) for name in names}
+    # each on a fresh copy of the grammar, with nothing stored yet
+    for name in names:
+        fresh = GfGrammar(
+            grammar.start_category, grammar.categories, grammar.lincats, grammar.functions, grammar.opers
+        )
+        assert fresh._values == {}
+        assert linearize(fresh, name) == texts[name]
+    # every function of the merged corpus is argument-free
+    assert not any(fun.arg_names for _, _, fun in grammar.functions)
+    functions = [key for key in grammar._values if not (isinstance(key, tuple) and key[0] == "oper")]
+    assert len(functions) <= len(_reached_bodies(grammar, names))
+    assert len({id(grammar.function(name).lin) for name in names}) <= 60 < len(names)
+
+    hypotheses = json.loads((REFERENCE / "hypotheses.json").read_text(encoding="utf-8"))
+    divergent = json.loads((REFERENCE / "known_divergences.json").read_text(encoding="utf-8"))
+    for name in names:
+        sid = name[len("sent_") :].rsplit("_r", 1)[0]
+        assert texts[name] in (hypotheses[sid], divergent.get(sid))
+
+
+def test_merge_of_replicas_alike_in_any_order_and_without_shared_bodies(fixtures_dir):
+    fragments = _corpus_x4(fixtures_dir)
+    shuffled = fragments[:]
+    random.Random(14).shuffle(shuffled)
+    unshared = [copy.deepcopy(f) for f in fragments]  # no body object is shared between fragments
+    merged = [merge(order) for order in (fragments, fragments[::-1], shuffled, unshared)]
+    for other in merged[1:]:
+        assert other.functions == merged[0].functions
+        assert render(other, "W") == render(merged[0], "W")
+
+
+def _fragment(sid, functions):
+    g = SentenceGrammar(sentence_id=sid)
+    for name, cats, result, lin in functions:
+        arg_names = tuple("x%d" % i for i in range(len(cats)))
+        g.add_function(GfFunction(name, arg_names, cats, result, lin))
+    return g
+
+
+NOUN = app("mkNP", app("mkN", Lit("cow")))
+HORSE = app("mkNP", app("mkN", Lit("horse")))
+SAYS_X = app("mkCl", fun_ref("X"), fun_ref("X"))
+NP_X = app("mkNP", fun_ref("X"), fun_ref("X"))
+
+
+@pytest.mark.parametrize(
+    "fragments",
+    [
+        # C collides and reads X; only the first fragment defines X, so the two
+        # Cs reach different functions although every body is shared
+        [
+            [("X", (), "NP", NOUN), ("C", (), "Message", SAYS_X)],
+            [("Z", (), "NP", NOUN), ("C", (), "Message", SAYS_X)],
+        ],
+        # a name defined twice in one fragment keeps its first definition
+        [
+            [("X", (), "NP", NOUN), ("X", (), "NP", HORSE), ("S", (), "Message", SAYS_X)],
+            [("X", (), "NP", NOUN), ("Y", (), "NP", HORSE), ("T", (), "Message", SAYS_X)],
+            [("Y", (), "NP", NOUN), ("Y", (), "NP", HORSE), ("U", (), "Message", SAYS_X)],
+        ],
+        # alike bodies under other categories
+        [
+            [("X", (), "NP", NOUN), ("S", (), "Message", SAYS_X)],
+            [("X", ("NP",), "NP", NOUN), ("T", (), "Message", SAYS_X)],
+            [("X", (), "CN", NOUN), ("U", (), "Message", SAYS_X)],
+        ],
+        # a cycle through a colliding function
+        [
+            [("X", (), "NP", NP_X), ("S", (), "Message", SAYS_X)],
+            [("X", (), "NP", NOUN), ("T", (), "Message", SAYS_X)],
+        ],
+    ],
+)
+def test_merge_reads_every_name_its_work_depends_on(fragments):
+    shared = [_fragment("f%d" % i, funs) for i, funs in enumerate(fragments)]
+    unshared = [copy.deepcopy(f) for f in shared]
+    for order in (shared, shared[::-1]):
+        assert merge(order).functions == merge(unshared).functions
+        assert render(merge(order), "G") == render(merge(unshared), "G")
+
+
 def test_merge_twice_on_one_decoded_list_renders_alike(fixtures_dir):
     fragments = decoded(corpus_fragments(fixtures_dir, "_r00") + corpus_fragments(fixtures_dir, "_r01"))
     assert render(merge(fragments), "Wiki") == render(merge(fragments), "Wiki")
@@ -368,17 +472,11 @@ def test_render_layout(bill_game_facts):
 
 def test_function_index_matches_function_list(fixtures_dir, people_grammar):
     merged = merge(corpus_fragments(fixtures_dir))
-    for grammar in (merged, people_grammar, grammar_from_dict(grammar_to_dict(merged))):
+    for grammar in (merged, people_grammar):
         for _, _, fun in grammar.functions:
             assert grammar.function(fun.name) is fun
         with pytest.raises(LookupError_):
             grammar.function("no_such_fun")
-
-
-def test_grammar_dict_roundtrip(fixtures_dir):
-    merged = merge(corpus_fragments(fixtures_dir))
-    restored = grammar_from_dict(grammar_to_dict(merged))
-    assert render(restored, "G") == render(merged, "G")
 
 
 def test_rendered_sources_pass_syntax_validator(fixtures_dir, people_grammar):

@@ -291,6 +291,49 @@ def test_faults_raise_alike_on_every_call(name, args, error, message):
             assert exc.value.args[0] == message
 
 
+def _cyclic_grammar():
+    a_twice = app("mkNP", fun_ref("A"), fun_ref("A"))
+    return GfGrammar(
+        functions=[
+            ("c", i, fun)
+            for i, fun in enumerate(
+                [
+                    GfFunction("A", (), (), "NP", a_twice),
+                    GfFunction("B", (), (), "NP", app("mkNP", fun_ref("C"), fun_ref("C"))),
+                    GfFunction("C", (), (), "NP", app("mkNP", fun_ref("B"), fun_ref("B"))),
+                    # the body of A under another name reaches A again
+                    GfFunction("A2", (), (), "NP", a_twice),
+                    GfFunction("Loop", ("a",), ("NP",), "Message", app("mkCl", arg_ref("a"), fun_ref("A"))),
+                    GfFunction("sent_c", (), (), "Message", app("mkCl", fun_ref("B"), fun_ref("B"))),
+                    GfFunction("Selfish", (), (), "N", oper_ref("self_N")),
+                ]
+            )
+        ],
+        opers={"self_N": GfOper("self_N", "N", app("mkN", oper_ref("self_N")))},
+    )
+
+
+@pytest.mark.parametrize(
+    "name, args, message",
+    [
+        ("A", [], "cyclic reference to function A"),
+        ("A2", [], "cyclic reference to function A"),
+        ("B", [], "cyclic reference to function B"),
+        ("C", [], "cyclic reference to function C"),
+        ("sent_c", [], "cyclic reference to function B"),
+        ("Loop", ["Kevin"], "cyclic reference to function A"),
+        ("Selfish", [], "cyclic reference to oper self_N"),
+    ],
+)
+def test_cyclic_reference_raises_alike_on_every_call(name, args, message):
+    grammar = _cyclic_grammar()
+    for _ in range(2):
+        with pytest.raises(RealizeTypeError) as exc:
+            linearize(grammar, name, args=args)
+        assert exc.value.args[0] == message
+    assert grammar._values == {}  # nothing stored, not even an in-progress marker
+
+
 CATEGORY_VALUES = {
     STR: str,
     "N": Nv,

@@ -1,5 +1,6 @@
 import pytest
 
+from gfgen.ingest import parse_conllu_file
 from gfgen.morph import (
     inflect_verb_3sg,
     noun_lemma_from_plural,
@@ -71,6 +72,35 @@ def test_past_participle(lemma, expected):
 )
 def test_verb_lemma_from_3sg(form, expected):
     assert verb_lemma_from_3sg(form) == expected
+
+
+@pytest.mark.parametrize(
+    "form,expected",
+    [
+        ("watches", "watch"),
+        ("pushes", "push"),
+        ("fixes", "fix"),
+        ("passes", "pass"),
+        ("goes", "go"),
+    ],
+)
+def test_verb_lemma_from_3sg_strips_es_after_sibilants_and_o(form, expected):
+    assert verb_lemma_from_3sg(form) == expected
+    assert inflect_verb_3sg(expected) == form
+
+
+def test_verb_lemma_from_3sg_agrees_with_every_corpus_vbz_lemma(fixtures_dir):
+    tokens = [
+        token
+        for path in sorted((fixtures_dir / "corpus").glob("*/sentences.conllu"))
+        for facts in parse_conllu_file(path)
+        for token in facts.tokens
+        if token.pos == "vbz"
+    ]
+    assert len(tokens) > 40
+    assert [(t.surface, verb_lemma_from_3sg(t.surface.lower())) for t in tokens] == [
+        (t.surface, t.lemma) for t in tokens
+    ]
 
 
 @pytest.mark.parametrize(
