@@ -9,13 +9,24 @@ from . import corpus_eval, engine, verbalizer
 from .components import build_chunk, main_components
 from .encoder import fragment_from_dict, fragment_to_dict, synthesize_sentence
 from .exporter import MergeConflict, merge, render
-from .ingest import facts_to_text, parse_conllu_file
+from .ingest import ConlluError, StructureError, facts_to_text, parse_conllu_file
 from .linearizer import LookupError_, RealizeTypeError, linearize
 from .structure import recognize, select
 
 
+def _read_conllu(read, path):
+    """``read(path)`` of a CoNLL-U file or corpus directory; a path it cannot read or
+    a malformed sentence, which names its file, is a CommandError."""
+    try:
+        return read(path)
+    except OSError as exc:
+        raise CommandError("%s: %s" % (exc.filename, exc.strerror))
+    except (ConlluError, StructureError) as exc:
+        raise CommandError(exc)
+
+
 def _cmd_ingest(args):
-    sentences = parse_conllu_file(args.conllu)
+    sentences = _read_conllu(parse_conllu_file, args.conllu)
     programs = [facts_to_text(f) for f in sentences]
     sys.stdout.write("\n".join(programs) if len(programs) > 1 else "".join(programs))
     return 0
@@ -58,7 +69,7 @@ def _dump_models(sentences, out):
 
 
 def _cmd_synthesize(args):
-    sentences = parse_conllu_file(args.conllu)
+    sentences = _read_conllu(parse_conllu_file, args.conllu)
     if args.dump_structures:
         _dump_structures(sentences, sys.stdout)
         return 0
@@ -172,7 +183,7 @@ def _cmd_verbalize(args):
 
 
 def _cmd_eval(args):
-    scores = corpus_eval.run_corpus(args.corpus)
+    scores = _read_conllu(corpus_eval.run_corpus, args.corpus)
     if args.report:
         corpus_eval.write_report(scores, args.report)
     for portal in sorted(scores):

@@ -6,7 +6,7 @@ the sentence model at each new position, which yields the maximal chunk of
 words supporting each main component.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import engine
 
@@ -25,8 +25,7 @@ class UnsupportedCopularComplement(ValueError):
         super().__init__("unsupported copular complement with tag %r" % pos_tag)
 
 
-@dataclass(frozen=True)
-class ComponentMap:
+class _RoleFields(NamedTuple):
     sub: int
     verb: int = None
     obj: int = None
@@ -34,10 +33,16 @@ class ComponentMap:
     verb_2: int = None
     adj: int = None
 
-    def __post_init__(self):
-        filled = [v for v in self.as_dict().values() if v is not None]
+
+class ComponentMap(_RoleFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **roles):
+        self = super().__new__(cls, *args, **roles)
+        filled = [v for v in self if v is not None]
         if len(filled) != len(set(filled)):
             raise ValueError("component roles must map distinct tokens")
+        return self
 
     def as_dict(self):
         return {
@@ -47,16 +52,14 @@ class ComponentMap:
         }
 
 
-@dataclass(frozen=True)
-class ComplementAttachment:
+class ComplementAttachment(NamedTuple):
     kind: str  # one of engine.COMPLEMENT_KINDS
     host: int
     dependent: int
     case_marker: int = None
 
 
-@dataclass(frozen=True)
-class Attachment:
+class Attachment(NamedTuple):
     """A complement attachment carrying the recursively built sub-chunk."""
 
     kind: str
@@ -64,8 +67,7 @@ class Attachment:
     case_marker: int = None
 
 
-@dataclass(frozen=True)
-class Chunk:
+class Chunk(NamedTuple):
     head: int
     lemma: str
     attachments: tuple = ()
@@ -147,10 +149,8 @@ def build_chunk(facts, head, _visited=None):
         if att.dependent in visited:
             continue
         sub = build_chunk(facts, att.dependent, visited)
-        attachments.append(
-            Attachment(kind=att.kind, chunk=sub, case_marker=att.case_marker)
-        )
-    return Chunk(head=head, lemma=facts.token(head).lemma, attachments=tuple(attachments))
+        attachments.append(Attachment(att.kind, sub, att.case_marker))
+    return Chunk(head, facts.token(head).lemma, tuple(attachments))
 
 
 def conjunction_word(facts, host, dependent):

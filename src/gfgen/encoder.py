@@ -23,6 +23,7 @@ carry sentence ids.  Encoding builds each sentence's own objects.
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import morph
 from .components import build_chunk, main_components, conjunction_word
@@ -44,8 +45,11 @@ class CategoryError(ValueError):
 # --- constructor expressions -------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class App:
+# App is a named tuple, which is quicker to build for every node of every
+# sentence.  Ref, Lit and GfOper stay slotted classes, which are smaller in a
+# decoded corpus, and GfFunction is no tuple: a merged grammar's (sentence id,
+# position, function) entries are told from functions by being tuples.
+class App(NamedTuple):
     fn: str
     args: tuple
     num: str = None  # "sg" | "pl" on NP-building nodes
@@ -64,7 +68,7 @@ class Lit:
 
 
 def app(fn, *args, num=None, forms=()):
-    return App(fn=fn, args=tuple(args), num=num, forms=tuple(forms))
+    return App(fn, args, num, tuple(forms))
 
 
 def oper_ref(name):
@@ -225,7 +229,9 @@ def expr_has_args(expr):
 
 
 def sanitize_ident(text):
-    ident = NON_IDENT_RUN.sub("_", text.lower()).strip("_")
+    ident = text.lower()
+    if not (ident.isascii() and ident.isalnum()):  # most lemmas are identifiers as they are
+        ident = NON_IDENT_RUN.sub("_", ident).strip("_")
     if not ident:
         ident = "x"
     if ident[0].isdigit():

@@ -18,10 +18,10 @@ predicate, and a Model builds its ``atoms`` set only when it is read.
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
+class Atom(NamedTuple):
     predicate: str
     args: tuple
 
@@ -144,7 +144,7 @@ class Plan:
         self.heads = []
         for head in heads:
             if any(is_variable(t) and t not in variables for t in head.args):
-                raise ValueError("unsafe rule head: %s not fully bound" % head)
+                raise ValueError("unsafe rule head: %s not fully bound" % (head,))
             self.heads.append((head.predicate, _picker(slots(head))))
 
     def rows(self, index):

@@ -8,6 +8,7 @@ multiword-token ranges ("3-4") and empty nodes ("3.1") are skipped.
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from . import engine, morph
 
@@ -38,22 +39,25 @@ class StructureError(ValueError):
     """A sentence whose dependency facts do not form a forest."""
 
 
-@dataclass(frozen=True)
-class Token:
+class _TokenFields(NamedTuple):
     index: int
     surface: str
     lemma: str
     pos: str  # lowercased Penn tag ("vbp", "nn", "punct", ...)
 
-    def __post_init__(self):
-        if self.index < 1:
+
+class Token(_TokenFields):
+    __slots__ = ()
+
+    def __new__(cls, index, surface, lemma, pos):
+        if index < 1:
             raise ValueError("token index must be >= 1")
-        if not self.pos or any(c.isspace() for c in self.pos):
+        if pos.split() != [pos]:  # empty, or holds whitespace
             raise ValueError("pos must be a non-empty tag without whitespace")
+        return tuple.__new__(cls, (index, surface, lemma, pos))
 
 
-@dataclass(frozen=True, order=True)
-class DependencyFact:
+class DependencyFact(NamedTuple):
     relation: str
     head: int
     dependent: int
@@ -197,8 +201,14 @@ def parse_conllu(text, default_id_prefix="s"):
 
 
 def parse_conllu_file(path):
+    """Parse a UTF-8 CoNLL-U file; an error in its text names the path."""
     with open(path, encoding="utf-8") as fh:
-        return parse_conllu(fh.read())
+        try:
+            return parse_conllu(fh.read())
+        except UnicodeDecodeError as exc:
+            raise ConlluError("%s: %s" % (path, exc)) from None
+        except (ConlluError, StructureError) as exc:
+            raise type(exc)("%s: %s" % (path, exc)) from None
 
 
 def _parse_block(lines, block_start, ordinal, default_id_prefix):
@@ -230,9 +240,12 @@ def _parse_block(lines, block_start, ordinal, default_id_prefix):
             index = int(tok_id)
         except ValueError:
             raise ConlluError("line %d: non-integer token index %r" % (lineno, tok_id))
-        pos = _normalize_pos(cols[4], cols[3])
-        lemma = cols[2] if cols[2] not in ("", "_") else _fallback_lemma(cols[1], pos)
-        tokens.append(Token(index=index, surface=cols[1], lemma=lemma, pos=pos))
+        try:
+            pos = _normalize_pos(cols[4], cols[3])
+            lemma = cols[2] if cols[2] not in ("", "_") else _fallback_lemma(cols[1], pos)
+            tokens.append(Token(index, cols[1], lemma, pos))
+        except ValueError as exc:  # no tag, or a tag or index that Token rejects
+            raise ConlluError("line %d: %s" % (lineno, exc)) from None
         if cols[6] in ("", "_"):
             continue
         try:
@@ -245,7 +258,7 @@ def _parse_block(lines, block_start, ordinal, default_id_prefix):
             continue  # the root edge carries no fact
         heads[index] = (deprel, head)
     for index, (deprel, head) in heads.items():
-        deps.append(DependencyFact(relation=deprel, head=head, dependent=index))
+        deps.append(DependencyFact(deprel, head, index))
     if sent_id is None:
         sent_id = "%s%d" % (default_id_prefix, ordinal + 1)
     return SentenceFacts(

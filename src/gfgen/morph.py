@@ -65,6 +65,11 @@ IRREGULAR_PARTICIPLES = {
     "write": "written",
 }
 
+# 3sg forms that end in an "es" which inflect_verb_3sg added: after a sibilant,
+# and after the "o" of go, do (undoes, torpedoes), echo and veto; "canoes",
+# "shoes" and "tiptoes" add only "s" to a lemma ending in "oe"
+ES_ENDINGS_3SG = ("ches", "shes", "xes", "sses", "zzes", "goes", "does", "echoes", "vetoes")
+
 IRREGULAR_LEMMAS_3SG = {
     "is": "be",
     "are": "be",
@@ -133,8 +138,8 @@ def verb_lemma_from_3sg(form):
         return IRREGULAR_LEMMAS_3SG[form]
     if form.endswith("ies") and len(form) > 4:
         return form[:-3] + "y"
-    if form.endswith(("ches", "shes", "xes", "sses", "zzes", "oes")):
-        return form[:-2]  # inflect_verb_3sg adds "es" after these endings
+    if form.endswith(ES_ENDINGS_3SG):
+        return form[:-2]
     if form.endswith("s") and not form.endswith("ss"):
         return form[:-1]
     return form

@@ -6,22 +6,26 @@ relations its rule consumed, and the atom with the highest i-value is the
 most informative reading.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .engine import CLAUSE_SHAPES
 
 SHAPES = {shape.kind: shape for shape in CLAUSE_SHAPES}
 
 
-@dataclass(frozen=True)
-class StructureAtom:
+class _StructureFields(NamedTuple):
     kind: int
     i_value: int
 
-    def __post_init__(self):
-        shape = SHAPES.get(self.kind)
-        if shape is None or shape.i_value != self.i_value:
-            raise ValueError("no structure (%d,%d) exists" % (self.kind, self.i_value))
+
+class StructureAtom(_StructureFields):
+    __slots__ = ()
+
+    def __new__(cls, kind, i_value):
+        shape = SHAPES.get(kind)
+        if shape is None or shape.i_value != i_value:
+            raise ValueError("no structure (%d,%d) exists" % (kind, i_value))
+        return tuple.__new__(cls, (kind, i_value))
 
     @property
     def shape(self):

@@ -414,3 +414,66 @@ def test_dump_golden(capsys, fixtures_dir, path, kind):
     assert main(["synthesize", str(fixtures_dir / path), "--dump-" + kind]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == DUMP_SHA256[(path, kind)]
+
+
+
+def _row(*cols):
+    return "\t".join(map(str, cols)) + "\n"
+
+
+BILL = ("Bill", "Bill", "PROPN")
+# case: (CoNLL-U rows of sentence x, or None for a missing path; reason after "<path>: ")
+BAD_CONLLU = {
+    "nine columns": (
+        _row(1, *BILL, "NNP", "_", 0, "root", "_"),
+        "line 2: expected 10 tab-separated columns, got 9",
+    ),
+    "token id 0": (
+        _row(0, *BILL, "NNP", "_", 0, "root", "_", "_"),
+        "line 2: token index must be >= 1",
+    ),
+    "tag with a space": (
+        _row(1, *BILL, "N NP", "_", 0, "root", "_", "_"),
+        "line 2: pos must be a non-empty tag without whitespace",
+    ),
+    "cyclic heads": (
+        _row(1, "a", "a", "NOUN", "NN", "_", 2, "dep", "_", "_")
+        + _row(2, "b", "b", "NOUN", "NN", "_", 1, "dep", "_", "_"),
+        "sentence 'x': cyclic dependency heads",
+    ),
+    "missing": (None, "No such file or directory"),
+}
+
+
+@pytest.mark.parametrize("command", ["ingest", "synthesize", "eval"])
+@pytest.mark.parametrize("case", sorted(BAD_CONLLU))
+def test_bad_conllu_is_one_line_and_status_1(tmp_path, capsys, command, case):
+    rows, reason = BAD_CONLLU[case]
+    corpus = tmp_path / "corpus"
+    if command == "eval":
+        # a missing corpus directory is named itself, a bad file by its path
+        path = corpus if rows is None else corpus / "people" / "sentences.conllu"
+        argv = ["eval", "--corpus", str(corpus)]
+    else:
+        path = tmp_path / "sentences.conllu"
+        argv = [command, str(path)]
+        if command == "synthesize":
+            argv += ["-o", str(tmp_path / "out")]
+    if rows is not None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("# sent_id = x\n" + rows + "\n", encoding="utf-8")
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "gfgen: %s: %s\n" % (path, reason)
+    assert not (tmp_path / "out").exists()
+
+
+def test_conllu_that_is_not_utf8_is_one_line_and_status_1(tmp_path, capsys):
+    path = tmp_path / "sentences.conllu"
+    path.write_bytes(b"# text = \xff\n" + _row(1, *BILL, "NNP", "_", 0, "root", "_", "_").encode())
+    assert main(["ingest", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("gfgen: %s: 'utf-8' codec can't decode byte 0xff" % path)
+    assert captured.err.count("\n") == 1

@@ -1,10 +1,18 @@
 import hashlib
 import json
+import re
 
 import pytest
 
-from gfgen.components import build_chunk, main_components
-from gfgen.engine import CLAUSE_SHAPES
+from gfgen.components import (
+    Attachment,
+    Chunk,
+    ComplementAttachment,
+    ComponentMap,
+    build_chunk,
+    main_components,
+)
+from gfgen.engine import CLAUSE_SHAPES, Atom
 from gfgen.encoder import (
     App,
     CategoryError,
@@ -29,7 +37,7 @@ from gfgen.encoder import (
     synthesize_sentence,
 )
 from gfgen.exporter import merge, render, render_expr
-from gfgen.ingest import parse_conllu, parse_conllu_file
+from gfgen.ingest import DependencyFact, Token, parse_conllu, parse_conllu_file
 from gfgen.linearizer import linearize
 from gfgen.structure import SHAPES, StructureAtom, recognize, select
 
@@ -311,6 +319,14 @@ def test_sanitize_ident():
     assert sanitize_ident("741.5") == "n741_5"
 
 
+@pytest.mark.parametrize(
+    "text", ["game", "Game", "p01_r03", "", "_", "3d", "x²", "café", "İstanbul", "ǅemal", "a b", "ⅰv"]
+)
+def test_sanitize_ident_agrees_with_the_substitution_on_every_text(text):
+    ident = re.sub(r"[^a-z0-9]+", "_", text.lower()).strip("_") or "x"
+    assert sanitize_ident(text) == ("n" + ident if ident[0].isdigit() else ident)
+
+
 def test_number_metadata_on_plural_nps(board_game_facts):
     fragment = synthesize_sentence(board_game_facts)
     game_fun = next(f for f in fragment.functions if f.name == "Game")
@@ -353,3 +369,29 @@ def test_corpus_fragments_golden(fixtures_dir):
         hashlib.sha256(text.encode()).hexdigest()
         == "820841370f97974b81f06b4ec522e5287c989e4d25b921bab8aaa388ae2851aa"
     )
+
+
+# one of each immutable record that ingest, recognition, components and encoding
+# build for every sentence
+PER_SENTENCE_RECORDS = [
+    Token(1, "a", "a", "nn"),
+    DependencyFact("nsubj", 2, 1),
+    Atom("nsubj", (2, 1)),
+    StructureAtom(2, 2),
+    ComplementAttachment("preposition", 1, 3, case_marker=2),
+    Attachment("adj_mod", Chunk(2, "b")),
+    Chunk(1, "a", attachments=(Attachment("adj_mod", Chunk(2, "b")),)),
+    ComponentMap(sub=1, verb=2, obj=3),
+    app("mkNP", Ref("a_N", "oper"), num="pl"),
+]
+
+
+@pytest.mark.parametrize("record", PER_SENTENCE_RECORDS, ids=lambda r: type(r).__name__)
+def test_per_sentence_records_reject_attribute_assignment(record):
+    fields = type(record).__match_args__
+    assert type(record)(**{name: getattr(record, name) for name in fields}) == record
+    before = repr(record)
+    for name in fields + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(record, name, "y")
+    assert repr(record) == before

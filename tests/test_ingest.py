@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from gfgen.ingest import (
@@ -160,3 +162,33 @@ def test_duplicate_dep_triples_collapse():
         deps=frozenset([DependencyFact("dep", 2, 1), DependencyFact("dep", 2, 1)]),
     )
     assert len(facts.deps) == 1
+
+
+@pytest.mark.parametrize("index", [0, -1])
+def test_token_index_below_1_is_rejected(index):
+    with pytest.raises(ValueError, match="token index must be >= 1"):
+        Token(index, "a", "a", "nn")
+
+
+@pytest.mark.parametrize("pos", ["", "n n", "nn ", "\tnn", "n\u00a0n"])
+def test_token_tag_with_whitespace_is_rejected(pos):
+    with pytest.raises(ValueError, match="pos must be a non-empty tag without whitespace"):
+        Token(index=1, surface="a", lemma="a", pos=pos)
+
+
+@pytest.mark.parametrize(
+    "row, reason",
+    [
+        ("0\tBill\tBill\tPROPN\tNNP\t_\t0\troot\t_\t_", "line 2: token index must be >= 1"),
+        ("1\tBill\tBill\tPROPN\tN NP\t_\t0\troot\t_\t_", "line 2: pos must be a non-empty tag"),
+        ("1\tBill\tBill\t_\t_\t_\t0\troot\t_\t_", "line 2: token with neither XPOS nor UPOS"),
+    ],
+)
+def test_rejected_token_is_a_conllu_error_naming_its_line(tmp_path, row, reason):
+    text = "# sent_id = x\n" + row + "\n"
+    with pytest.raises(ConlluError, match="^" + reason):
+        parse_conllu(text)
+    path = tmp_path / "x.conllu"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConlluError, match="^%s: %s" % (re.escape(str(path)), reason)):
+        parse_conllu_file(path)

@@ -82,6 +82,15 @@ def test_verb_lemma_from_3sg(form, expected):
         ("fixes", "fix"),
         ("passes", "pass"),
         ("goes", "go"),
+        ("undergoes", "undergo"),
+        ("undoes", "undo"),
+        ("echoes", "echo"),
+        ("vetoes", "veto"),
+        ("torpedoes", "torpedo"),
+        ("canoes", "canoe"),
+        ("hoes", "hoe"),
+        ("tiptoes", "tiptoe"),
+        ("shoes", "shoe"),
     ],
 )
 def test_verb_lemma_from_3sg_strips_es_after_sibilants_and_o(form, expected):

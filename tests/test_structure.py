@@ -1,5 +1,7 @@
 import itertools
 
+import pytest
+
 from gfgen.ingest import parse_conllu_file
 from gfgen.structure import StructureAtom, recognize, select
 
@@ -137,3 +139,9 @@ def test_relations_named_like_derived_predicates(tmp_path, capsys):
     assert capsys.readouterr().out == "% sentence clash\nstructure(1,1).\nstructure(2,2).\n"
     assert main(["synthesize", str(path), "-o", str(tmp_path / "out")]) == 0
     assert [p.name for p in (tmp_path / "out").iterdir()] == ["frag_clash.json"]
+
+
+@pytest.mark.parametrize("kind, i_value", [(9, 1), (2, 1), (0, 0)])
+def test_structure_atom_outside_the_table_is_rejected(kind, i_value):
+    with pytest.raises(ValueError, match=r"no structure \(%d,%d\) exists" % (kind, i_value)):
+        StructureAtom(kind, i_value)
