@@ -1,14 +1,13 @@
-"""Main-component role assignment and recursive complement chunking.
+"""Main-component role assignment and nested complement chunking.
 
 The selected structure's clause shape maps a few words onto roles (sub, verb,
-obj, ...); everything else hangs off those words as complements, read from
-the sentence model at each new position, which yields the maximal chunk of
-words supporting each main component.
+obj, ...), read from the same sentence model as the structure readings;
+everything else hangs off those words as complements, read from that model at
+each new position, which yields the maximal chunk of words supporting each
+main component.
 """
 
 from typing import NamedTuple
-
-from . import engine
 
 # Determiners, possessives, auxiliaries, copulas and punctuation are never
 # chunk members: the complement rules only consume compound/amod/conj/
@@ -60,7 +59,7 @@ class ComplementAttachment(NamedTuple):
 
 
 class Attachment(NamedTuple):
-    """A complement attachment carrying the recursively built sub-chunk."""
+    """A complement attachment carrying the sub-chunk built below it."""
 
     kind: str
     chunk: "Chunk"
@@ -108,18 +107,16 @@ def _prefer_root(facts, candidates, anchor_role):
 def main_components(facts, selected):
     """Role assignment for the selected structure.
 
-    The first body of its clause shape that matches binds the roles.  The
-    copular structure resolves its trailing component by tag: jj becomes an
+    The sentence model holds the roles of every body that matched; those of
+    the first matching body of the clause shape are kept.  The copular
+    structure resolves its trailing component by tag: jj becomes an
     adjectival predicate, nn/nns/cd a nominal one; anything else is rejected.
     """
     shape = selected.shape
-    for body in shape.bodies:
-        cands = [
-            {role: subst[var] for role, var in shape.roles.items()}
-            for subst in engine.bindings(facts.fact_index, body)
-        ]
-        if cands:
-            break
+    rows = [a.args[1:] for a in facts.model.derived_with("roles") if a.args[0] == shape.kind]
+    first = min((row[0] for row in rows), default=None)
+    names = sorted(shape.roles)
+    cands = [dict(zip(names, row[1:])) for row in rows if row[0] == first]
     chosen = _prefer_root(facts, cands, shape.anchor)
     if selected.kind == 4:
         head_tag = facts.pos(chosen["obj"])

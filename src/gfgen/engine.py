@@ -1,12 +1,13 @@
 """Forward-chaining evaluation of the stratified rule families.
 
-One table, CLAUSE_SHAPES, states the five clause shapes; the structure rules
-and the main-components family are generated from it.  Each sentence is
-analysed by one program, the structure rules plus the complement rules,
-evaluated once.  The rules are positive and choice-free in effect, so a
-least fixpoint over ground facts replaces a full ASP solver.  Heads with
-cardinality bounds are definite: every head atom is derived once the body
-matches.
+One table, CLAUSE_SHAPES, states the five clause shapes; the structure and
+role rules are generated from it.  Each sentence is analysed by one program,
+the shape rules plus the complement rules, evaluated once: a matching shape
+body yields its structure reading and its role tokens together.  The rules
+are positive and choice-free in effect, and no head predicate occurs in a
+body, so a single pass over the ground facts derives the whole model and
+replaces a full ASP solver.  Heads with cardinality bounds are definite:
+every head atom is derived once the body matches.
 
 Terms are plain ints or lowercase symbol strings; identifiers starting with
 an uppercase letter are variables.  A rule list is compiled once into a
@@ -16,7 +17,7 @@ predicate, and a Model builds its ``atoms`` set only when it is read.
 """
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -114,7 +115,7 @@ class Plan:
     become (predicate, picker of the argument tuple) pairs.
     """
 
-    __slots__ = ("first", "row", "names", "steps", "heads")
+    __slots__ = ("first", "row", "steps", "heads")
 
     def __init__(self, body, heads=()):
         terms = [t for a in (*body, *heads) for t in a.args]
@@ -140,7 +141,6 @@ class Plan:
             tests = tuple((i, s) for i, s in enumerate(args) if i and i not in new)
             self.steps.append((pattern.predicate, len(args), first, tests, _picker(new)))
         self.first = body[0].predicate if body else None
-        self.names = tuple(variables)
         self.heads = []
         for head in heads:
             if any(is_variable(t) and t not in variables for t in head.args):
@@ -172,37 +172,26 @@ class Plan:
         return rows
 
 
-@lru_cache(maxsize=128)
-def _plan(body):
-    return Plan(body)
-
-
-def bindings(facts, body):
-    """All substitutions satisfying a conjunctive body, deterministically ordered.
-
-    ``facts`` is a FactIndex or any collection of ground atoms.  A pattern
-    whose first argument is a constant or already bound is matched against
-    that argument's facts only.
-    """
-    plan = _plan(tuple(body))
-    width = len(plan.row)
-    return [dict(zip(plan.names, row[width:])) for row in plan.rows(_index(facts))]
-
-
 class Program(tuple):
-    """A rule list with each rule compiled into a Plan once."""
+    """A rule list with each rule compiled into a Plan once.
+
+    No rule may feed another: a list where some head predicate occurs in a
+    body raises ValueError, so one pass over the facts derives every atom.
+    """
 
     def __new__(cls, rules):
         self = super().__new__(cls, rules)
         heads = {h.predicate for r in self for h in r.heads}
-        self.recursive = any(b.predicate in heads for r in self for b in r.body)
+        fed = sorted(heads.intersection(b.predicate for r in self for b in r.body))
+        if fed:
+            raise ValueError("head predicate %s occurs in a rule body" % ", ".join(fed))
         self.plans = tuple(Plan(r.body, r.heads) for r in self)
         return self
 
 
 @dataclass(frozen=True, eq=False)
 class Model:
-    """Least fixpoint of a rule family: input facts plus derived atoms.
+    """The model of a rule family: input facts plus derived atoms.
 
     ``derived`` holds the atoms rule heads produced, whether or not an input
     fact equals one, so an input relation named like a head predicate is
@@ -221,26 +210,21 @@ class Model:
 
 
 def derive(facts, rules):
-    """Least fixpoint of a rule list (or Program) over ground facts (a set or a FactIndex).
+    """The model of a rule list (or Program) over ground facts (a set or a FactIndex).
 
-    A rule whose first body predicate has no fact is skipped.  When no head
-    predicate occurs in a body, no rule can feed another, so one pass reaches
-    the fixpoint; otherwise passes repeat over a fresh index until one
-    derives nothing new.
+    Every rule is matched once against the facts; no head predicate occurs in
+    a body, so no derived atom can match another rule.  A rule whose first
+    body predicate has no fact is skipped.
     """
     index = _index(facts)
     program = rules if isinstance(rules, Program) else Program(rules)
-    while True:
-        derived = set()
-        for plan in program.plans:
-            if plan.first is None or plan.first in index.by_predicate:
-                for row in plan.rows(index):
-                    for predicate, pick in plan.heads:
-                        derived.add(Atom(predicate, pick(row)))
-        model = Model(index, frozenset(derived))
-        if not program.recursive or model.atoms == index.atoms():
-            return model
-        index = FactIndex(model.atoms)
+    derived = set()
+    for plan in program.plans:
+        if plan.first is None or plan.first in index.by_predicate:
+            for row in plan.rows(index):
+                for predicate, pick in plan.heads:
+                    derived.add(Atom(predicate, pick(row)))
+    return Model(index, frozenset(derived))
 
 
 def model_to_text(model):
@@ -257,10 +241,11 @@ class ClauseShape:
     """One clause shape: how it is recognized, which tokens fill its roles and
     the GF clause it builds.
 
-    ``bodies`` are the dependency patterns that recognize it, tried in order
-    when roles are assigned; its i-value is the number of relations a body
-    consumes.  ``roles`` maps each role to a body variable, and ``anchor`` is
-    the role that must sit at a parse root when clauses coordinate.
+    ``bodies`` are the dependency patterns that recognize it; the first one
+    that matches binds the roles, and its i-value is the number of relations
+    a body consumes.  ``roles`` maps each role to a body variable, and
+    ``anchor`` is the role that must sit at a parse root when clauses
+    coordinate.
     ``verbs`` gives each verb role its GF category, and ``skeleton`` is the
     clause as a constructor tree whose leaves are roles.
     """
@@ -315,12 +300,25 @@ CLAUSE_SHAPES = (
 )
 
 
-def _shape_rules(heads):
-    """One rule per body of every clause shape, with ``heads(shape)`` as its heads."""
-    return Program(rule(heads(s), body) for s in CLAUSE_SHAPES for body in s.bodies)
+def _shape_rules(*heads):
+    """One rule per body of every clause shape, headed by each ``head(shape, position)``."""
+    return Program(
+        rule([head(s, i) for head in heads], body)
+        for s in CLAUSE_SHAPES
+        for i, body in enumerate(s.bodies)
+    )
 
 
-STRUCTURE_RULES = _shape_rules(lambda s: [atom("structure", s.kind, s.i_value)])
+def _structure(shape, position):
+    return atom("structure", shape.kind, shape.i_value)
+
+
+def _roles(shape, position):
+    """``roles(kind, body position, token per role)``, the roles sorted by name."""
+    return atom("roles", shape.kind, position, *(shape.roles[r] for r in sorted(shape.roles)))
+
+
+STRUCTURE_RULES = _shape_rules(_structure)
 
 # Complement discovery.  Each head carries the host word it attaches to; the
 # preposition rule pairs an nmod (or its UD-v2 spelling, obl) with the
@@ -341,13 +339,13 @@ COMPLEMENT_RULES = Program((
 ))
 COMPLEMENT_KINDS = frozenset(h.predicate for r in COMPLEMENT_RULES for h in r.heads)
 
-# The program each sentence is analysed with; no head feeds a body, so one
-# pass reaches its fixpoint.
-SENTENCE_RULES = Program(STRUCTURE_RULES + COMPLEMENT_RULES)
+# The program each sentence is analysed with: every shape body yields its
+# structure reading and its roles, beside the complements.
+SENTENCE_RULES = Program(_shape_rules(_structure, _roles) + COMPLEMENT_RULES)
 
 FAMILIES = {
     "structure": STRUCTURE_RULES,
-    "components": _shape_rules(lambda s: [atom(r, v) for r, v in s.roles.items()]),
+    "components": _shape_rules(_roles),
     "complements": COMPLEMENT_RULES,
     "sentence": SENTENCE_RULES,
 }

@@ -67,8 +67,10 @@ IRREGULAR_PARTICIPLES = {
 
 # 3sg forms that end in an "es" which inflect_verb_3sg added: after a sibilant,
 # and after the "o" of go, do (undoes, torpedoes), echo and veto; "canoes",
-# "shoes" and "tiptoes" add only "s" to a lemma ending in "oe"
+# "shoes" and "tiptoes" add only "s" to a lemma ending in "oe", as the forms
+# below do to one ending in "che" (whole forms: "teaches" ends in "aches")
 ES_ENDINGS_3SG = ("ches", "shes", "xes", "sses", "zzes", "goes", "does", "echoes", "vetoes")
+CHE_FORMS_3SG = frozenset({"aches", "caches", "niches"})
 
 IRREGULAR_LEMMAS_3SG = {
     "is": "be",
@@ -138,7 +140,7 @@ def verb_lemma_from_3sg(form):
         return IRREGULAR_LEMMAS_3SG[form]
     if form.endswith("ies") and len(form) > 4:
         return form[:-3] + "y"
-    if form.endswith(ES_ENDINGS_3SG):
+    if form.endswith(ES_ENDINGS_3SG) and form not in CHE_FORMS_3SG:
         return form[:-2]
     if form.endswith("s") and not form.endswith("ss"):
         return form[:-1]

@@ -1,8 +1,18 @@
 import itertools
 import random
 
+import pytest
+
 from gfgen import engine
-from gfgen.engine import Atom, atom, bindings, derive, derive_family, is_variable
+from gfgen.components import (
+    ComponentMap,
+    UnsupportedCopularComplement,
+    _prefer_root,
+    main_components,
+)
+from gfgen.engine import Atom, atom, derive, derive_family, is_variable
+from gfgen.ingest import parse_conllu, parse_conllu_file
+from gfgen.structure import StructureAtom, recognize
 
 
 def structures(model):
@@ -42,11 +52,10 @@ def test_copular_structures():
 
 
 def test_component_heads_are_conjunctive():
+    # roles(kind, body position, token per role in name order): one head binds
+    # every role of a matching body; transitive is (obj, sub, verb)
     model = derive_family(BILL_FACTS, "components")
-    derived = {(a.predicate, a.args) for a in model.derived}
-    assert ("sub", (1,)) in derived
-    assert ("verb", (2,)) in derived
-    assert ("obj", (4,)) in derived
+    assert model.derived == {atom("roles", 2, 0, 4, 1, 2), atom("roles", 1, 0, 1, 2)}
 
 
 def test_complements_anchor_position():
@@ -142,19 +151,15 @@ def test_complements_brute_force_equivalence():
         assert derive(facts, rules).atoms == _brute_force(facts, rules), sorted(map(str, facts))
 
 
-def test_recursive_rules_reach_the_fixpoint():
+def test_recursive_rules_are_rejected():
     closure = (
         engine.rule([atom("path", "X", "Y")], [atom("edge", "X", "Y")]),
         engine.rule([atom("path", "X", "Z")], [atom("path", "X", "Y"), atom("edge", "Y", "Z")]),
     )
-    rng = random.Random(7)
-    for _ in range(10):
-        facts = frozenset(
-            atom("edge", rng.randint(1, 7), rng.randint(1, 7)) for _ in range(rng.randint(1, 9))
-        )
-        assert derive(facts, closure).atoms == _brute_force(facts, closure), sorted(map(str, facts))
-    chain = frozenset(atom("edge", i, i + 1) for i in range(1, 6))
-    assert atom("path", 1, 6) in derive(chain, closure).atoms
+    with pytest.raises(ValueError, match="path"):
+        engine.Program(closure)
+    with pytest.raises(ValueError, match="path"):
+        derive(frozenset(atom("edge", i, i + 1) for i in range(1, 6)), closure)
 
 
 def _naive_bindings(facts, body):
@@ -178,11 +183,26 @@ def _naive_bindings(facts, body):
     return results
 
 
+def _variables(body):
+    return tuple(dict.fromkeys(t for b in body for t in b.args if is_variable(t)))
+
+
+def _matches(facts, body):
+    """What one rule over ``body`` derives, its head listing every body variable."""
+    return derive(facts, [engine.rule([Atom("match", _variables(body))], body)]).derived
+
+
+def _naive_matches(facts, body):
+    variables = _variables(body)
+    return {Atom("match", tuple(s[v] for v in variables)) for s in _naive_bindings(facts, body)}
+
+
 def test_bindings_are_deterministic():
     facts = frozenset([atom("nsubj", 2, 1), atom("nsubj", 5, 4)])
     body = [atom("nsubj", "V", "S")]
-    assert bindings(facts, body) == bindings(set(facts), body)
-    assert [b["V"] for b in bindings(facts, body)] == [2, 5]
+    assert _matches(facts, body) == {atom("match", 2, 1), atom("match", 5, 4)}
+    assert _matches(sorted(facts, reverse=True), body) == _matches(facts, body)
+    assert _matches(engine.FactIndex(facts), body) == _matches(facts, body)
 
     # later patterns have their first argument bound by an earlier one
     facts = frozenset(
@@ -202,13 +222,13 @@ def test_bindings_are_deterministic():
         ]
     )
     body = [atom("nmod", "H", "C"), atom("case", "C", "M"), atom("amod", "C", "A")]
-    expected = _naive_bindings(facts, body)
+    expected = _naive_matches(facts, body)
     assert len(expected) == 4
-    assert bindings(facts, body) == expected
-    assert bindings(engine.FactIndex(facts), body) == expected
+    assert _matches(facts, body) == expected
+    assert _matches(engine.FactIndex(facts), body) == expected
     body = [atom("nmod", 6, "C"), atom("case", "C", "M"), atom("pos_tag", "C", "nns")]
-    assert bindings(facts, body) == _naive_bindings(facts, body)
-    assert bindings(facts, body) == [{"C": 10, "M": 7}, {"C": 10, "M": 9}]
+    assert _matches(facts, body) == _naive_matches(facts, body)
+    assert _matches(facts, body) == {atom("match", 10, 7), atom("match", 10, 9)}
 
 
 def test_bindings_equal_naive_bindings_on_random_bodies():
@@ -233,10 +253,10 @@ def test_bindings_equal_naive_bindings_on_random_bodies():
             if len({t for t in terms if is_variable(t)}) < sum(map(is_variable, terms)):
                 seen.add("repeated variable")
         seen.add("empty body" if not body else "body")
-        expected = _naive_bindings(facts, body)
-        assert bindings(facts, body) == expected, (sorted(map(str, facts)), body)
-        assert bindings(engine.FactIndex(facts), body) == expected
-        seen.update("match" for _ in expected[:1])
+        expected = _naive_matches(facts, body)
+        assert _matches(facts, body) == expected, (sorted(map(str, facts)), body)
+        assert _matches(engine.FactIndex(facts), body) == expected
+        seen.update("match" for _ in _naive_bindings(facts, body)[:1])
     assert seen == {
         "constant first",
         "variable first",
@@ -246,6 +266,66 @@ def test_bindings_equal_naive_bindings_on_random_bodies():
         "body",
         "match",
     }
+
+
+def _reference_roles(facts, reading):
+    """Roles from the naive grounder over the first matching body of the
+    reading's shape, then the root preference and the copular tag rule."""
+    atoms = [atom(d.relation, d.head, d.dependent) for d in facts.deps]
+    shape = reading.shape
+    for body in shape.bodies:
+        cands = [
+            {role: subst[var] for role, var in shape.roles.items()}
+            for subst in _naive_bindings(atoms, body)
+        ]
+        if cands:
+            break
+    chosen = _prefer_root(facts, cands, shape.anchor)
+    if reading.kind == 4:
+        tag = facts.pos(chosen["obj"])
+        if tag == "jj":
+            return ComponentMap(sub=chosen["sub"], adj=chosen["obj"])
+        if tag not in {"nn", "nns", "cd"}:
+            raise UnsupportedCopularComplement(tag)
+    return ComponentMap(**chosen)
+
+
+# "Games are played and Bill sleeps.": both intransitive bodies match, and only
+# the second one's verb is a parse root
+BOTH_INTRANSITIVE_BODIES = "".join(
+    "%d\t%s\t%s\t_\t%s\t_\t%d\t%s\t_\t_\n" % row
+    for row in [
+        (1, "Games", "game", "NNS", 3, "nsubjpass"),
+        (2, "are", "be", "VBP", 3, "auxpass"),
+        (3, "played", "play", "VBN", 0, "root"),
+        (4, "and", "and", "CC", 6, "cc"),
+        (5, "Bill", "Bill", "NNP", 6, "nsubj"),
+        (6, "sleeps", "sleep", "VBZ", 3, "conj"),
+    ]
+)
+
+
+def test_roles_of_every_corpus_reading_equal_naive_bindings(fixtures_dir):
+    sentences = [
+        facts
+        for path in sorted((fixtures_dir / "corpus").glob("*/sentences.conllu"))
+        for facts in parse_conllu_file(path)
+    ]
+    (coordinated,) = parse_conllu(BOTH_INTRANSITIVE_BODIES)
+    kinds = set()
+    for facts in sentences + [coordinated]:
+        for reading in sorted(recognize(facts)):
+            kinds.add(reading.kind)
+            try:
+                expected = _reference_roles(facts, reading)
+            except UnsupportedCopularComplement as exc:
+                with pytest.raises(UnsupportedCopularComplement) as raised:
+                    main_components(facts, reading)
+                assert raised.value.pos_tag == exc.pos_tag
+                continue
+            assert main_components(facts, reading) == expected, (facts.sentence_id, reading)
+    assert kinds == {1, 2, 3, 4, 5}
+    assert main_components(coordinated, StructureAtom(1, 1)).as_dict() == {"sub": 5, "verb": 6}
 
 
 def test_model_to_text():

@@ -2,6 +2,7 @@ import pytest
 
 from gfgen.ingest import parse_conllu_file
 from gfgen.morph import (
+    IRREGULAR_PARTICIPLES,
     inflect_verb_3sg,
     noun_lemma_from_plural,
     past_participle,
@@ -96,6 +97,17 @@ def test_verb_lemma_from_3sg(form, expected):
 def test_verb_lemma_from_3sg_strips_es_after_sibilants_and_o(form, expected):
     assert verb_lemma_from_3sg(form) == expected
     assert inflect_verb_3sg(expected) == form
+
+
+@pytest.mark.parametrize(
+    "lemma",
+    sorted(
+        set(IRREGULAR_PARTICIPLES)
+        | set("ache cache niche teach catch go do echo veto canoe shoe fix buzz miss wash carry".split())
+    ),
+)
+def test_verb_lemma_from_3sg_undoes_inflect_verb_3sg(lemma):
+    assert verb_lemma_from_3sg(inflect_verb_3sg(lemma)) == lemma
 
 
 def test_verb_lemma_from_3sg_agrees_with_every_corpus_vbz_lemma(fixtures_dir):
