@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .encoder import sanitize_ident, synthesize_sentence
-from .exporter import merge
 from .ingest import parse_conllu_file
 from .linearizer import linearize
 from .metrics import bleu3, is_bleu_assessable, rouge, tokenize
@@ -40,7 +39,7 @@ class SentenceResult:
 
 
 def _linearized(fragment):
-    return linearize(merge([fragment]), "sent_" + sanitize_ident(fragment.sentence_id))
+    return linearize(fragment, "sent_" + sanitize_ident(fragment.sentence_id))
 
 
 def regenerate(facts):

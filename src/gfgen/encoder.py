@@ -1,5 +1,8 @@
 """GF grammar encoding: one grammar fragment per recognized sentence.
 
+A fragment is a ``GfGrammar``, the one grammar type: a merge of fragments is
+another, and one sentence linearizes from its fragment without a merge.
+
 Each main component becomes a zero-argument abstract function (named by its
 capitalized head lemma) over a category mirroring its concrete type, and the
 sentence itself becomes a zero-argument Message function whose linearization
@@ -18,7 +21,8 @@ application) and every oper decodes to one object per distinct value, from
 process-wide tables.  The tables grow with the distinct expressions read: a
 replica of a sentence under a new id adds nothing, and each new sentence
 structure adds a few nodes.  Functions stay per fragment, since their names
-carry sentence ids.  Encoding builds each sentence's own objects.
+carry sentence ids.  A value of the wrong type is a ValueError; only what the
+tables miss is checked.  Encoding builds each sentence's own objects.
 """
 
 import re
@@ -47,8 +51,8 @@ class CategoryError(ValueError):
 
 # App is a named tuple, which is quicker to build for every node of every
 # sentence.  Ref, Lit and GfOper stay slotted classes, which are smaller in a
-# decoded corpus, and GfFunction is no tuple: a merged grammar's (sentence id,
-# position, function) entries are told from functions by being tuples.
+# decoded corpus, and GfFunction is no tuple: bench/run.py still reads any
+# tuple in a grammar's functions as a (sentence id, position, function) entry.
 class App(NamedTuple):
     fn: str
     args: tuple
@@ -99,14 +103,33 @@ class GfFunction:
     lin: object
 
 
+class LookupError_(KeyError):
+    """Unknown function or oper name in a grammar."""
+
+
+_REQUIRED = object()
+
+
 @dataclass
-class SentenceGrammar:
-    sentence_id: str
+class GfGrammar:
+    """A GF grammar: one sentence's fragment (with its id and text), or a merge of many.
+
+    ``function`` finds the first function of a name, by an index made on the
+    first lookup.  The linearizer makes ``_values`` on its first call and keeps
+    each value and plan there, some under the identity of a body that
+    ``functions`` keeps alive.  From a first lookup on, neither ``functions``
+    nor ``opers`` may change: ``add_oper`` and ``add_function`` build a grammar.
+    """
+
+    sentence_id: str = ""
     source_text: str = ""
     categories: set = field(default_factory=lambda: {"Message"})
     lincats: dict = field(default_factory=lambda: {"Message": "Cl"})
     functions: list = field(default_factory=list)
     opers: dict = field(default_factory=dict)
+    # class attributes, not fields: a grammar that is never read stores neither
+    _by_name = None
+    _values = None
 
     def add_oper(self, oper):
         existing = self.opers.get(oper.name)
@@ -121,6 +144,18 @@ class SentenceGrammar:
             self.categories.add(cat)
             self.lincats.setdefault(cat, cat)
         self.lincats.setdefault(fun.result, "Cl" if fun.result == "Message" else fun.result)
+
+    def function(self, name, default=_REQUIRED):
+        """The function called ``name``; else ``default``, or LookupError_ without one."""
+        if self._by_name is None:  # the first function of a name is the one stored last
+            self._by_name = {fun.name: fun for fun in reversed(self.functions)}
+        fun = self._by_name.get(name, default)
+        if fun is _REQUIRED:
+            raise LookupError_("no function %r in grammar" % name)
+        return fun
+
+    def function_names(self):
+        return [fun.name for fun in self.functions]
 
 
 # --- constructor signature table ---------------------------------------------
@@ -205,24 +240,13 @@ def infer_category(expr, opers=None, funs=None, args=None):
     raise GfTypeError("not an expression: %r" % (expr,))
 
 
-def expr_opers(expr):
-    """All oper names referenced by an expression."""
-    if isinstance(expr, Ref) and expr.kind == "oper":
-        return {expr.name}
-    if isinstance(expr, App):
-        out = set()
-        for a in expr.args:
-            out |= expr_opers(a)
-        return out
-    return set()
-
-
-def expr_has_args(expr):
+def expr_refs(expr, kind):
+    """Names of the references of ``kind`` ("oper", "fun" or "arg") in ``expr``, in order."""
     if isinstance(expr, Ref):
-        return expr.kind == "arg"
+        return (expr.name,) if expr.kind == kind else ()
     if isinstance(expr, App):
-        return any(expr_has_args(a) for a in expr.args)
-    return False
+        return tuple(name for a in expr.args for name in expr_refs(a, kind))
+    return ()
 
 
 # --- identifier and lexeme helpers -------------------------------------------
@@ -432,7 +456,7 @@ def _component_fun(facts, index, result, expr, grammar, used):
 
 def _nominal_fun(facts, index, grammar, used):
     expr = encode_np(facts, build_chunk(facts, index), grammar)
-    if expr_has_args(expr):
+    if expr_refs(expr, "arg"):
         return expr  # slot-bearing components inline into the sentence function
     return _component_fun(facts, index, "NP", expr, grammar, used)
 
@@ -447,7 +471,7 @@ def encode_sentence(facts, selected, roles, slots=()):
     get a closed zero-argument Message function.
     """
     shape = selected.shape
-    grammar = SentenceGrammar(sentence_id=facts.sentence_id, source_text=facts.source_text)
+    grammar = GfGrammar(sentence_id=facts.sentence_id, source_text=facts.source_text)
     used = set()
     refs = {"sub": _nominal_fun(facts, roles.sub, grammar, used)}
     if roles.obj is not None:
@@ -530,32 +554,60 @@ _NODES = {}
 _OPERS = {}
 
 
+def _checked(value, kind, what):
+    """``value`` if its type is ``kind``; else a ValueError that names ``what``."""
+    if type(value) is not kind:
+        raise ValueError("%s: expected %s, got %r" % (what, kind.__name__, value))
+    return value
+
+
+def _ref(name, kind):
+    if kind not in ("oper", "fun", "arg"):
+        raise ValueError("reference kind: expected one of oper, fun, arg, got %r" % (kind,))
+    return Ref(_checked(name, str, "reference name"), kind)
+
+
+def _app(fn, args, num, forms):
+    for _, form in forms:
+        _checked(form, str, "form")
+    num = num if num is None else _checked(num, str, "number")
+    return App(_checked(fn, str, "constructor"), args, num, forms)
+
+
 def expr_from_dict(d):
     if "str" in d:
         key = d["str"]
-        return _LEAVES.get(key) or _LEAVES.setdefault(key, Lit(key))
+        return _LEAVES.get(key) or _LEAVES.setdefault(key, Lit(_checked(key, str, "literal")))
     if "ref" in d:
         key = (d["ref"], d["kind"])
-        return _LEAVES.get(key) or _LEAVES.setdefault(key, Ref(*key))
+        return _LEAVES.get(key) or _LEAVES.setdefault(key, _ref(*key))
     args = tuple(map(expr_from_dict, d["args"]))
     forms = d.get("forms")
     forms = tuple(sorted(forms.items())) if forms else ()
     key = (d["app"], d.get("num"), forms, *map(id, args))
-    return _NODES.get(key) or _NODES.setdefault(key, App(d["app"], args, d.get("num"), forms))
+    return _NODES.get(key) or _NODES.setdefault(key, _app(d["app"], args, d.get("num"), forms))
 
 
 def function_from_dict(f):
     args = f["args"]
     names = cats = ()
     if args != []:  # most functions take no argument
-        names, cats = tuple(a["name"] for a in args), tuple(a["cat"] for a in args)
-    return GfFunction(f["name"], names, cats, f["result"], expr_from_dict(f["lin"]))
+        names = tuple(_checked(a["name"], str, "argument name") for a in args)
+        cats = tuple(_checked(a["cat"], str, "argument category") for a in args)
+    name = _checked(f["name"], str, "function name")
+    result = _checked(f["result"], str, "function result")
+    return GfFunction(name, names, cats, result, expr_from_dict(f["lin"]))
 
 
 def oper_from_dict(o):
     definition = expr_from_dict(o["definition"])
     key = (o["name"], o["category"], id(definition))
-    return _OPERS.get(key) or _OPERS.setdefault(key, GfOper(o["name"], o["category"], definition))
+    oper = _OPERS.get(key)
+    if oper is None:
+        name, category = _checked(key[0], str, "oper name"), _checked(key[1], str, "category")
+        definition = _checked(definition, App, "oper definition")  # merge reads its forms
+        oper = _OPERS.setdefault(key, GfOper(name, category, definition))
+    return oper
 
 
 def fragment_to_dict(grammar):
@@ -570,11 +622,16 @@ def fragment_to_dict(grammar):
 
 
 def fragment_from_dict(d):
-    return SentenceGrammar(
-        sentence_id=d["sentence_id"],
-        source_text=d.get("source_text", ""),
-        categories=set(d["categories"]),
-        lincats=dict(d["lincats"]),
+    """The fragment that ``d`` describes; a value of the wrong type is a ValueError."""
+    categories = _checked(d["categories"], list, "categories")
+    lincats = _checked(d["lincats"], dict, "lincats")
+    for cat in (*categories, *lincats.values()):
+        _checked(cat, str, "category")
+    return GfGrammar(
+        sentence_id=_checked(d["sentence_id"], str, "sentence id"),
+        source_text=_checked(d.get("source_text", ""), str, "source text"),
+        categories=set(categories),
+        lincats=dict(lincats),
         functions=list(map(function_from_dict, d["functions"])),
         opers={o["name"]: oper_from_dict(o) for o in d["opers"]},
     )

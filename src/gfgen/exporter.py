@@ -1,74 +1,29 @@
 """Merge per-sentence grammar fragments and render GF source files.
 
-Merging is a set union of categories, lincats, functions and opers.  Name
-collisions with identical definitions collapse to one entry; collisions with
-different definitions are renamed with a numeric suffix chosen from the
-canonical ordering of the definitions themselves, so the result does not
-depend on fragment order.  Only names that more than one source defines are
-rendered and compared.
+A fragment and a merged grammar are one type, ``GfGrammar`` (defined with
+the encoder and re-exported here), so a merged grammar can be merged again,
+rendered or linearized like a fragment.  Merging is a set union of
+categories, lincats, functions and opers.  Name collisions with identical
+definitions collapse to one entry; collisions with different definitions are
+renamed with a numeric suffix chosen from the canonical ordering of the
+definitions themselves, so the result does not depend on fragment order.
+Only names that more than one source defines are rendered and compared.
 """
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
 from operator import attrgetter
 
-from .encoder import App, GfFunction, GfOper, Lit, Ref, SentenceGrammar
+from .encoder import App, GfFunction, GfGrammar, GfOper, Lit, LookupError_, Ref, expr_refs
 
+__all__ = ["GfGrammar", "LookupError_", "MergeConflict", "merge", "render", "render_expr"]
 
 _NAME, _LIN, _SIG = attrgetter("name"), attrgetter("lin"), attrgetter("arg_cats", "result")
 
 
-class LookupError_(KeyError):
-    """Unknown function or oper name in a grammar."""
-
-
 class MergeConflict(ValueError):
     """Two merge sources give one category different lincats."""
-
-
-_REQUIRED = object()
-
-
-@dataclass
-class GfGrammar:
-    """A complete grammar.
-
-    The name index behind ``function`` is built once, at construction, and
-    the linearizer keeps each oper's and function's value or plan in
-    ``_values`` from its first use on, so neither ``functions`` nor ``opers``
-    may change afterwards.  An oper's entry is keyed ("oper", name), that of
-    a function with arguments ("fun", name), and that of a function without
-    arguments the identity of its body: ``functions`` keeps every body alive,
-    so no identity is reused while the grammar and its ``_values`` live.  An
-    entry is computed from those definitions alone, so threads that race on
-    it can only store the same value twice.
-    """
-
-    start_category: str = "Message"
-    categories: set = field(default_factory=lambda: {"Message"})
-    lincats: dict = field(default_factory=lambda: {"Message": "Cl"})
-    functions: list = field(default_factory=list)  # (sentence_id, intra_index, GfFunction)
-    opers: dict = field(default_factory=dict)
-    _by_name: dict = field(init=False, repr=False, compare=False)
-    _values: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._by_name = {}
-        self._values = {}
-        for _, _, fun in self.functions:
-            self._by_name.setdefault(fun.name, fun)
-
-    def function(self, name, default=_REQUIRED):
-        """The function called ``name``; else ``default``, or LookupError_ without one."""
-        fun = self._by_name.get(name, default)
-        if fun is _REQUIRED:
-            raise LookupError_("no function %r in grammar" % name)
-        return fun
-
-    def function_names(self):
-        return [fun.name for _, _, fun in self.functions]
 
 
 def render_expr(expr, parenthesized=False):
@@ -108,15 +63,6 @@ def _rename_expr(expr, renames):
         return expr
 
     return renamed(expr)
-
-
-def _fun_refs(expr):
-    """Names of the functions an expression references, in reading order."""
-    if isinstance(expr, Ref):
-        return (expr.name,) if expr.kind == "fun" else ()
-    if isinstance(expr, App):
-        return tuple(name for a in expr.args for name in _fun_refs(a))
-    return ()
 
 
 def _once(memo, fn, expr, *rest):
@@ -179,25 +125,6 @@ def _suffixed_fun_name(name, n):
     return "%s_%d" % (name, n)
 
 
-def _placed(src):
-    """A merge input as (sentence id, places, functions); see ``_place``.
-
-    A fragment's places are None; a grammar's entries each carry their own
-    (sentence id, position), and its sentence id is "".
-    """
-    if isinstance(src, SentenceGrammar):
-        return str(src.sentence_id), None, src.functions
-    if isinstance(src, GfGrammar):
-        places = tuple((str(sid), intra) for sid, intra, _ in src.functions)
-        return "", places, [fun for _, _, fun in src.functions]
-    raise TypeError("cannot merge %r" % (src,))
-
-
-def _place(places, sid, i):
-    """(sentence id, position) of a source's i-th entry: a fragment's are its own id and i."""
-    return (sid, i) if places is None else places[i]
-
-
 class _Shape:
     """The merge work of the sources of one shape, done once: see ``merge``.
 
@@ -251,17 +178,21 @@ def _union(sources):
     functions, opers = [], {}
     names = set()
     for src in sources:
-        sid, places, funs = _placed(src)
-        for i, fun in enumerate(funs):
+        sid = src.sentence_id
+        for i, fun in enumerate(src.functions):
             if fun.name in names:
                 return None
             names.add(fun.name)
-            functions.append((*_place(places, sid, i), fun))
+            functions.append((sid, i, fun))
         for name, oper in src.opers.items():
             if opers.setdefault(name, oper) is not oper or oper.name != name:
                 return None
-    functions.sort(key=lambda item: (item[0], item[1], item[2].name))
-    return functions, opers
+    return _in_place_order(functions), opers
+
+
+def _in_place_order(entries):
+    """The functions of (sentence id, position, function) entries, in that order, then by name."""
+    return [fun for _, _, fun in sorted(entries, key=lambda e: (e[0], e[1], e[2].name))]
 
 
 def merge(sources):
@@ -275,11 +206,17 @@ def merge(sources):
     and opers, so each distinct body object is rendered, renamed and walked
     for references once, and an oper name that every source gives one object
     is not rendered at all.  A source's own work (its oper renames, function
-    keys and renamed bodies) is done once per shape: the places of its
-    entries, the identities of its bodies and opers, its argument categories
-    and results, and the names that collide or that some body references.
-    The replicas of one sentence differ only in their sentence function's
-    name, so they share a shape, and each adds no more than its entries.
+    keys and renamed bodies) is done once per shape: the identities of its
+    bodies and opers, its argument categories and results, and the names
+    that collide or that some body references.  The replicas of one
+    sentence differ only in their sentence function's name, so they share a
+    shape, and each adds no more than its entries.
+
+    Each function keeps the place (sentence id, position) that its source
+    gives it, and the result lists functions in place order.  A merged
+    grammar passed back in is one source whose sentence id is "", so its
+    functions keep their order and come before those of every fragment
+    whose id is not empty.
     """
     sources = list(sources)  # read more than once
     categories = {"Message"}
@@ -295,18 +232,17 @@ def merge(sources):
         return GfGrammar(categories=categories, lincats=lincats, functions=functions, opers=opers)
 
     # one pass: each source's function names, and the sources grouped by all
-    # else that their merge work reads: their places, the identities of their
-    # bodies, their argument categories and results, and their opers
+    # else that their merge work reads: the identities of their bodies, their
+    # argument categories and results, and their opers
     defined = []  # each source's function names, once per source
     # group -> (its opers, its sources as (sentence id, index, names, twice, functions))
     groups = {}
     for index, src in enumerate(sources):
-        sid, places, funs = _placed(src)
+        sid, funs = src.sentence_id, src.functions
         names = tuple(map(_NAME, funs))
         distinct = set(names)
         defined.extend(distinct)
         group = (
-            places,
             tuple(map(id, map(_LIN, funs))),
             tuple(map(_SIG, funs)),
             tuple(src.opers),
@@ -323,8 +259,10 @@ def merge(sources):
             oper_objects[name][id(oper)] = oper
 
     memo = {}  # see _once
-    text, refs = partial(_once, memo, render_expr), partial(_once, memo, _fun_refs)
-    rename = partial(_once, memo, _rename_expr)
+    text, rename = partial(_once, memo, render_expr), partial(_once, memo, _rename_expr)
+
+    def refs(expr):
+        return _once(memo, expr_refs, expr, "fun")
 
     # global, order-independent rename plan for colliding oper definitions
     oper_variants = {
@@ -343,7 +281,7 @@ def merge(sources):
     )
     named = {name: name for name in chain(fun_variants, referenced)}
 
-    def shape_of(places, names, funs, renames):
+    def shape_of(names, funs, renames):
         shape = _Shape()
         bodies = {}  # a name defined twice keeps its first definition, as lookup does
         for fun in funs:
@@ -355,9 +293,9 @@ def merge(sources):
                 key = _function_key(name, bodies, shape.keys, text, refs)
                 fun_variants[name][key] = None
                 shape.colliding.append((i, (name, key)))
-            elif name not in stays or _place(places, "", i) < stays[name][0]:
-                stays[name] = (_place(places, "", i), i)  # a name stays at its least place
-        shape.kept = sorted(i for _, i in stays.values())
+            else:
+                stays.setdefault(name, i)  # a name defined twice stays at its first position
+        shape.kept = list(stays.values())
         shape.lins = [bodies[name][1] for name in names]
         shape.best = None
         return shape
@@ -368,7 +306,7 @@ def merge(sources):
     shapes = []
     collapsed = {}  # merge key -> least ((place, source index), function, shape, position)
     kept = []  # (place, function, shape, position) of each other entry that stays
-    for (places, *_), (opers, members) in groups.items():
+    for opers, members in groups.values():
         renames = frozenset(
             ((name, "oper"), final)
             for name in split.intersection(opers)
@@ -380,16 +318,16 @@ def merge(sources):
             masked = names if twice else tuple(map(named.get, names))
             shape = by_names.get(masked)
             if shape is None:
-                shape = by_names[masked] = shape_of(places, names, funs, renames)
+                shape = by_names[masked] = shape_of(names, funs, renames)
                 shapes.append(shape)
             if shape.best is None or (sid, index) < shape.best[:2]:
                 shape.best = (sid, index, funs)
             for i in shape.kept:
-                kept.append((_place(places, sid, i), funs[i], shape, i))
+                kept.append(((sid, i), funs[i], shape, i))
         for shape in by_names.values():
             sid, index, funs = shape.best
             for i, key in shape.colliding:
-                rank = (_place(places, sid, i), index)
+                rank = ((sid, i), index)
                 best = collapsed.get(key)
                 if best is None or rank < best[0]:
                     collapsed[key] = (rank, funs[i], shape, i)
@@ -410,7 +348,7 @@ def merge(sources):
         for (name, key), ((place, _), fun, shape, i) in collapsed.items()
     ]
     functions += [(*place, _built(fun, fun.name, shape.lins[i])) for place, fun, shape, i in kept]
-    functions.sort(key=lambda item: (item[0], item[1], item[2].name))
+    functions = _in_place_order(functions)
 
     final_opers = {}
     for name, objects in oper_objects.items():
@@ -447,13 +385,13 @@ def render(grammar, name):
     """Render (abstract, concrete-English) GF sources with canonical ordering."""
     abstract = []
     abstract.append("abstract %s = {" % name)
-    abstract.append("  flags startcat = %s ;" % grammar.start_category)
+    abstract.append("  flags startcat = Message ;")
     abstract.append("  cat")
     for cat in sorted(grammar.categories):
         abstract.append("    %s ;" % cat)
     if grammar.functions:
         abstract.append("  fun")
-        for _, _, fun in grammar.functions:
+        for fun in grammar.functions:
             abstract.append("    %s : %s ;" % (fun.name, _fun_signature(fun)))
     abstract.append("}")
 
@@ -468,7 +406,7 @@ def render(grammar, name):
     if grammar.functions:
         concrete.append("  lin")
         texts = {}  # id of a body -> its text; the grammar keeps every body alive
-        for _, _, fun in grammar.functions:
+        for fun in grammar.functions:
             head = fun.name if not fun.arg_names else fun.name + " " + " ".join(fun.arg_names)
             text = texts.get(id(fun.lin))
             if text is None:

@@ -10,8 +10,10 @@ articles, single spaces.
 Phrase values are immutable named tuples.  One rule table, ``_RULES``, keyed
 by constructor and the exact types of the argument values, realizes every
 node, so two value types with equal fields never stand in for each other.
-Values are kept per grammar and computed on first use only: an oper
-(ambient ones included) under ("oper", name), and a function without
+Linearization reads any grammar, a sentence's fragment as well as a merged
+grammar, so one sentence needs no merge.  Values are kept per grammar, in a
+table made on the first call that reads it, and computed on first use only:
+an oper (ambient ones included) under ("oper", name), and a function without
 arguments under the identity of its body, since within one grammar that
 body alone fixes its value; the replicas of a merged corpus share their
 bodies, so each distinct body is evaluated once.  A function with arguments
@@ -30,8 +32,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from . import morph
-from .encoder import App, Lit, Ref, ambient_category
-from .exporter import LookupError_
+from .encoder import App, Lit, LookupError_, Ref, ambient_category
 from .morph import inflect_verb_3sg, pluralize_noun  # re-exported realizer surface
 
 __all__ = [
@@ -325,6 +326,8 @@ def linearize_expr(expr, grammar, env=None):
     ``env`` maps the argument names the expression reads to their values.
     """
     env = env or {}
+    if grammar._values is None:
+        grammar._values = {}
     value = _compile(expr, grammar, tuple(env))
     return value(tuple(env.values())) if callable(value) else value
 
@@ -347,6 +350,8 @@ def linearize(grammar, function_name, args=(), period=False):
     (underscores become spaces, singular number).
     """
     fun = grammar.function(function_name)
+    if grammar._values is None:
+        grammar._values = {}
     if len(args) != len(fun.arg_names):
         raise RealizeTypeError(
             "function %s takes %d arguments, got %d"

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 
 from .encoder import sanitize_ident, sentence_slots, synthesize_sentence
-from .exporter import merge
+from .exporter import merge  # noqa: F401  uncalled here; bench/run.py swaps it for a traced one
 from .linearizer import NPv, linearize
 from .template import TemplateError, parse_template
 
@@ -81,12 +81,11 @@ def _build_annotation(predicate, arity, sentence):
             "annotation sentence for %s/%d has no recognizable structure: %r"
             % (predicate, arity, sentence)
         )
-    grammar = merge([fragment])
     return AtomAnnotation(
         predicate=predicate,
         arity=arity,
         template_sentence=sentence,
-        grammar=grammar,
+        grammar=fragment,
         function_name="sent_" + sanitize_ident(sentence_id),
     )
 

@@ -30,31 +30,26 @@ def build_people_grammar():
     Message/People/Action/Entity categories, a three-argument sentence
     function and the Bill/Play/Soccer lexical functions.
     """
-    from gfgen.encoder import GfFunction, GfOper, Lit, app, arg_ref, fun_ref, oper_ref
-    from gfgen.exporter import GfGrammar
+    from gfgen.encoder import GfFunction, GfGrammar, GfOper, Lit, app, arg_ref, oper_ref
 
     return GfGrammar(
         categories={"Message", "People", "Action", "Entity"},
         lincats={"Message": "Cl", "People": "NP", "Action": "V2", "Entity": "NP"},
         functions=[
-            (
-                "people",
-                0,
-                GfFunction(
-                    name="simple_sent",
-                    arg_names=("People", "Action", "Entity"),
-                    arg_cats=("People", "Action", "Entity"),
-                    result="Message",
-                    lin=app(
-                        "mkCl",
-                        arg_ref("People"),
-                        app("mkVP", arg_ref("Action"), arg_ref("Entity")),
-                    ),
+            GfFunction(
+                name="simple_sent",
+                arg_names=("People", "Action", "Entity"),
+                arg_cats=("People", "Action", "Entity"),
+                result="Message",
+                lin=app(
+                    "mkCl",
+                    arg_ref("People"),
+                    app("mkVP", arg_ref("Action"), arg_ref("Entity")),
                 ),
             ),
-            ("people", 1, GfFunction("Bill", (), (), "People", app("mkNP", oper_ref("Bill_N")))),
-            ("people", 2, GfFunction("Play", (), (), "Action", oper_ref("play_V2"))),
-            ("people", 3, GfFunction("Soccer", (), (), "Entity", app("mkNP", oper_ref("soccer_N")))),
+            GfFunction("Bill", (), (), "People", app("mkNP", oper_ref("Bill_N"))),
+            GfFunction("Play", (), (), "Action", oper_ref("play_V2")),
+            GfFunction("Soccer", (), (), "Entity", app("mkNP", oper_ref("soccer_N"))),
         ],
         opers={
             "Bill_N": GfOper("Bill_N", "N", app("mkN", Lit("Bill"), Lit("Bill"))),

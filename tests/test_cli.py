@@ -204,16 +204,24 @@ def test_linearize_error_is_one_line_and_status_1(tmp_path, capsys, fixtures_dir
     assert captured.err == message + "\n"
 
 
-def _fragment_text(lin):
-    return json.dumps(
-        {
-            "sentence_id": "x",
-            "categories": ["Message"],
-            "lincats": {"Message": "Cl"},
-            "functions": [{"name": "sent_x", "args": [], "result": "Message", "lin": lin}],
-            "opers": [],
-        }
-    )
+def _fragment_text(lin, function=None, **fields):
+    """The JSON of fragment x whose one function sent_x has the body ``lin``.
+
+    ``function`` and ``fields`` replace keys of that function and of the fragment.
+    """
+    fun = {"name": "sent_x", "args": [], "result": "Message", "lin": lin, **(function or {})}
+    fragment = {
+        "sentence_id": "x",
+        "categories": ["Message"],
+        "lincats": {"Message": "Cl"},
+        "functions": [fun],
+        "opers": [],
+        **fields,
+    }
+    return json.dumps(fragment)
+
+
+X_LIN = {"str": "x"}
 
 
 BAD_FRAGMENTS = {
@@ -228,6 +236,47 @@ BAD_FRAGMENTS = {
     "not_json.json": ("not json\n", "not JSON: Expecting value: line 1 column 1 (char 0)"),
     "not_fragment.json": ('{"sentence_id": "x"}\n', "not a fragment (KeyError: 'categories')"),
     "missing.json": (None, "No such file or directory"),
+    # a value of the wrong type, which the program used to crash on or read silently
+    "number_name.json": (
+        _fragment_text(X_LIN, {"name": 3}),
+        "not a fragment (ValueError: function name: expected str, got 3)",
+    ),
+    "null_name.json": (
+        _fragment_text(X_LIN, {"name": None}),
+        "not a fragment (ValueError: function name: expected str, got None)",
+    ),
+    "number_result.json": (
+        _fragment_text(X_LIN, {"result": 3}),
+        "not a fragment (ValueError: function result: expected str, got 3)",
+    ),
+    "null_result.json": (
+        _fragment_text(X_LIN, {"result": None}),
+        "not a fragment (ValueError: function result: expected str, got None)",
+    ),
+    "number_app.json": (
+        _fragment_text({"app": 3, "args": [X_LIN]}),
+        "not a fragment (ValueError: constructor: expected str, got 3)",
+    ),
+    "string_categories.json": (
+        _fragment_text(X_LIN, categories="NP"),
+        "not a fragment (ValueError: categories: expected list, got 'NP')",
+    ),
+    "pair_lincats.json": (
+        _fragment_text(X_LIN, lincats=[["Message", "Cl"]]),
+        "not a fragment (ValueError: lincats: expected dict, got [['Message', 'Cl']])",
+    ),
+    "unknown_ref_kind.json": (
+        _fragment_text({"ref": "A", "kind": "zzz"}),
+        "not a fragment (ValueError: reference kind: expected one of oper, fun, arg, got 'zzz')",
+    ),
+    "number_str.json": (
+        _fragment_text({"str": 3}),
+        "not a fragment (ValueError: literal: expected str, got 3)",
+    ),
+    "literal_oper.json": (
+        _fragment_text(X_LIN, opers=[{"name": "x_N", "category": "N", "definition": X_LIN}]),
+        "not a fragment (ValueError: oper definition: expected App, got Lit(text='x'))",
+    ),
 }
 
 

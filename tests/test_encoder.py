@@ -17,6 +17,8 @@ from gfgen.encoder import (
     App,
     CategoryError,
     GfTypeError,
+    GfGrammar,
+    LookupError_,
     Lit,
     Ref,
     app,
@@ -25,14 +27,14 @@ from gfgen.encoder import (
     encode_sentence,
     encode_skeleton,
     expr_from_dict,
-    expr_opers,
+    expr_refs,
     expr_to_dict,
     fragment_from_dict,
     fragment_to_dict,
+    fun_ref,
     infer_category,
     oper_ref,
     sanitize_ident,
-    SentenceGrammar,
     sentence_slots,
     synthesize_sentence,
 )
@@ -116,7 +118,7 @@ def test_sentence_clauses_follow_their_skeleton(fixtures_dir):
 
 
 def test_encode_np_worked_example(board_game_facts):
-    grammar = SentenceGrammar(sentence_id="t")
+    grammar = GfGrammar(sentence_id="t")
     chunk = build_chunk(board_game_facts, 6)
     expr = encode_np(board_game_facts, chunk, grammar)
     assert render_expr(expr) == (
@@ -137,27 +139,27 @@ def test_encode_np_worked_example(board_game_facts):
 
 def test_encode_np_proper_noun():
     (facts,) = parse_conllu("1\tBill\tBill\tPROPN\tNNP\t_\t0\troot\t_\t_\n")
-    grammar = SentenceGrammar(sentence_id="t")
+    grammar = GfGrammar(sentence_id="t")
     expr = encode_np(facts, build_chunk(facts, 1), grammar)
     assert render_expr(expr) == "mkNP bill_N"
     assert render_expr(grammar.opers["bill_N"].definition) == 'mkN "Bill" "Bill"'
 
 
 def test_encode_np_bare_common_noun(bill_game_facts):
-    grammar = SentenceGrammar(sentence_id="t")
+    grammar = GfGrammar(sentence_id="t")
     expr = encode_np(bill_game_facts, build_chunk(bill_game_facts, 4), grammar)
     assert render_expr(expr) == "mkNP game_N"
     assert set(grammar.opers) == {"game_N"}
 
 
 def test_encode_np_rejects_non_nominal(bill_game_facts):
-    grammar = SentenceGrammar(sentence_id="t")
+    grammar = GfGrammar(sentence_id="t")
     with pytest.raises(CategoryError):
         encode_np(bill_game_facts, build_chunk(bill_game_facts, 2), grammar)
 
 
 def test_encode_vp_transitive(bill_game_facts):
-    grammar = SentenceGrammar(sentence_id="t")
+    grammar = GfGrammar(sentence_id="t")
     roles = main_components(bill_game_facts, StructureAtom(2, 2))
     refs = {
         "verb": oper_ref("play_V2"),
@@ -173,7 +175,7 @@ def test_encode_vp_adverb():
         "2\truns\trun\tVERB\tVBZ\t_\t0\troot\t_\t_\n"
         "3\tquickly\tquickly\tADV\tRB\t_\t2\tadvmod\t_\t_\n"
     )
-    grammar = SentenceGrammar(sentence_id="t")
+    grammar = GfGrammar(sentence_id="t")
     roles = main_components(facts, StructureAtom(1, 1))
     expr = encode_skeleton(facts, ("mkVP", "verb"), roles, {"verb": oper_ref("run_V")}, grammar)
     assert render_expr(expr) == "mkVP (mkVP run_V ) quickly_Adv"
@@ -195,6 +197,24 @@ def test_sentence_grammar_shape(bill_game_facts):
     assert sent.result == "Message"
     assert sent.arg_names == ()
     assert render_expr(sent.lin) == "mkCl Bill (mkVP Play Game)"
+
+
+def test_fragment_finds_every_function_added_to_it(fixtures_dir):
+    # the encoder builds each fragment empty and adds its functions one by one
+    fragments = [
+        fragment
+        for path in sorted(fixtures_dir.rglob("*.conllu"))
+        for fragment in map(synthesize_sentence, parse_conllu_file(path))
+        if fragment is not None
+    ]
+    assert len(fragments) == 67
+    for fragment in fragments:
+        assert fragment.function_names() == [f.name for f in fragment.functions]
+        for fun in fragment.functions:
+            assert fragment.function(fun.name) is fun
+        with pytest.raises(LookupError_):
+            fragment.function("no_such_fun")
+        assert fragment.function("no_such_fun", None) is None
 
 
 def test_copular_sentence_encoding(fixtures_dir):
@@ -247,6 +267,14 @@ def _oper(name, cat):
     return GfOper(name, cat, app("mkN", Lit("x")))
 
 
+def test_expr_refs_lists_one_kind_in_reading_order():
+    expr = app("mkCl", fun_ref("B"), app("mkVP", oper_ref("x_V2"), arg_ref("a1"), fun_ref("A"), fun_ref("B")))
+    assert expr_refs(expr, "fun") == ("B", "A", "B")
+    assert expr_refs(expr, "oper") == ("x_V2",)
+    assert expr_refs(expr, "arg") == ("a1",)
+    assert expr_refs(Lit("B"), "fun") == ()
+
+
 def test_oper_closure_on_corpus(fixtures_dir):
     from gfgen.encoder import ambient_category
 
@@ -259,9 +287,9 @@ def test_oper_closure_on_corpus(fixtures_dir):
                 continue
             referenced = set()
             for fun in fragment.functions:
-                referenced |= expr_opers(fun.lin)
+                referenced.update(expr_refs(fun.lin, "oper"))
             for oper in fragment.opers.values():
-                referenced |= expr_opers(oper.definition)
+                referenced.update(expr_refs(oper.definition, "oper"))
             emitted = set(fragment.opers)
             dangling = {
                 name for name in referenced - emitted if ambient_category(name) is None

@@ -14,7 +14,6 @@ from gfgen.encoder import (
     GfOper,
     Lit,
     Ref,
-    SentenceGrammar,
     app,
     fragment_from_dict,
     fragment_to_dict,
@@ -51,7 +50,7 @@ def corpus_fragments(fixtures_dir, suffix=""):
 
 
 def _simple_fragment(sid, noun, definition_text):
-    g = SentenceGrammar(sentence_id=sid)
+    g = GfGrammar(sentence_id=sid)
     oper = GfOper(noun + "_N", "N", app("mkN", Lit(definition_text)))
     g.add_oper(oper)
     fun = GfFunction(noun.capitalize(), (), (), "NP", app("mkNP", oper_ref(noun + "_N")))
@@ -85,9 +84,7 @@ def test_merge_singleton_preserves_content(bill_game_facts, fixtures_dir):
     for fragment in [synthesize_sentence(bill_game_facts)] + corpus_fragments(fixtures_dir):
         merged = merge([fragment])
         assert merged.opers == fragment.opers
-        assert merged.functions == [
-            (fragment.sentence_id, i, fun) for i, fun in enumerate(fragment.functions)
-        ]
+        assert merged.functions == fragment.functions
 
 
 def decoded(fragments):
@@ -113,7 +110,7 @@ def _check_conflicting_opers(a, b):
     merged = merge([a, b])
     assert sorted(merged.opers) == ["bank_2_N", "bank_N"]
     # references follow the rename
-    sent_lins = {f.name: f.lin for _, _, f in merged.functions}
+    sent_lins = {f.name: f.lin for f in merged.functions}
     assert len(sent_lins) == 4  # Bank, Bank_2, sent_a, sent_b
     assert linearize(merged, "sent_a") == "river bank is river bank"
     assert linearize(merged, "sent_b") == "money bank is money bank"
@@ -208,7 +205,7 @@ def test_decoded_replicas_share_opers_and_leaves(fixtures_dir):
 
 def test_equal_subtrees_decode_to_one_object():
     # two functions of one fragment whose bodies hold equal, separately built subtrees
-    g = SentenceGrammar(sentence_id="s")
+    g = GfGrammar(sentence_id="s")
     game = app("mkNP", oper_ref("game_N"), num="pl")
     g.add_function(GfFunction("Game", (), (), "NP", game))
     again = app("mkNP", oper_ref("game_N"), num="pl")
@@ -303,7 +300,7 @@ def _reached_bodies(grammar, names):
         fun = grammar.function(todo.pop())
         if id(fun.lin) not in seen:
             seen.add(id(fun.lin))
-            todo.extend(exporter._fun_refs(fun.lin))
+            todo.extend(encoder.expr_refs(fun.lin, "fun"))
     return seen
 
 
@@ -315,12 +312,15 @@ def test_merged_replicas_linearize_by_body_identity(fixtures_dir):
     # each on a fresh copy of the grammar, with nothing stored yet
     for name in names:
         fresh = GfGrammar(
-            grammar.start_category, grammar.categories, grammar.lincats, grammar.functions, grammar.opers
+            categories=grammar.categories,
+            lincats=grammar.lincats,
+            functions=grammar.functions,
+            opers=grammar.opers,
         )
-        assert fresh._values == {}
+        assert fresh._values is None
         assert linearize(fresh, name) == texts[name]
     # every function of the merged corpus is argument-free
-    assert not any(fun.arg_names for _, _, fun in grammar.functions)
+    assert not any(fun.arg_names for fun in grammar.functions)
     functions = [key for key in grammar._values if not (isinstance(key, tuple) and key[0] == "oper")]
     assert len(functions) <= len(_reached_bodies(grammar, names))
     assert len({id(grammar.function(name).lin) for name in names}) <= 60 < len(names)
@@ -344,7 +344,7 @@ def test_merge_of_replicas_alike_in_any_order_and_without_shared_bodies(fixtures
 
 
 def _fragment(sid, functions):
-    g = SentenceGrammar(sentence_id=sid)
+    g = GfGrammar(sentence_id=sid)
     for name, cats, result, lin in functions:
         arg_names = tuple("x%d" % i for i in range(len(cats)))
         g.add_function(GfFunction(name, arg_names, cats, result, lin))
@@ -473,7 +473,7 @@ def test_render_layout(bill_game_facts):
 def test_function_index_matches_function_list(fixtures_dir, people_grammar):
     merged = merge(corpus_fragments(fixtures_dir))
     for grammar in (merged, people_grammar):
-        for _, _, fun in grammar.functions:
+        for fun in grammar.functions:
             assert grammar.function(fun.name) is fun
         with pytest.raises(LookupError_):
             grammar.function("no_such_fun")
@@ -489,10 +489,10 @@ def test_rendered_sources_pass_syntax_validator(fixtures_dir, people_grammar):
 
 
 def test_lincat_conflict_raises():
-    a = SentenceGrammar(sentence_id="a")
+    a = GfGrammar(sentence_id="a")
     a.categories.add("NP")
     a.lincats["NP"] = "NP"
-    b = SentenceGrammar(sentence_id="b")
+    b = GfGrammar(sentence_id="b")
     b.categories.add("NP")
     b.lincats["NP"] = "V2"
     with pytest.raises(MergeConflict, match="^conflicting lincat for NP$"):

@@ -12,8 +12,11 @@ from gfgen.encoder import (
     Lit,
     app,
     arg_ref,
+    fragment_from_dict,
+    fragment_to_dict,
     fun_ref,
     oper_ref,
+    sanitize_ident,
     synthesize_sentence,
 )
 from gfgen.exporter import GfGrammar, merge
@@ -187,13 +190,17 @@ def test_reexported_morphology():
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference"
 
 
-def test_merged_corpus_linearizes_alike_in_any_order_and_on_a_fresh_merge(fixtures_dir):
-    fragments = [
+def _corpus_fragments(fixtures_dir):
+    return [
         fragment
         for path in sorted((fixtures_dir / "corpus").glob("*/sentences.conllu"))
         for fragment in map(synthesize_sentence, parse_conllu_file(path))
         if fragment is not None
     ]
+
+
+def test_merged_corpus_linearizes_alike_in_any_order_and_on_a_fresh_merge(fixtures_dir):
+    fragments = _corpus_fragments(fixtures_dir)
     grammar = merge(fragments)
     names = sorted(n for n in grammar.function_names() if n.startswith("sent_"))
     forward = {name: linearize(grammar, name) for name in names}
@@ -239,24 +246,19 @@ def test_annotation_sentences_alike_on_first_and_later_calls_and_a_fresh_grammar
 def _faulty_grammar():
     return GfGrammar(
         functions=[
-            ("f", i, fun)
-            for i, fun in enumerate(
-                [
-                    GfFunction("Gone", (), (), "NP", app("mkNP", oper_ref("gone_N"))),
-                    GfFunction("GoneFun", (), (), "NP", app("mkNP", fun_ref("Nothing"))),
-                    GfFunction("Ill", (), (), "Message", app("mkCl", oper_ref("bill_N"), oper_ref("play_V2"))),
-                    GfFunction("BadVerb", (), (), "V2", app("mkV2", oper_ref("bill_N"))),
-                    GfFunction("Loose", (), (), "Message", app("mkCl", arg_ref("x"), arg_ref("x"))),
-                    GfFunction(
-                        "IllWithArgs",
-                        ("a",),
-                        ("NP",),
-                        "Message",
-                        app("mkCl", arg_ref("a"), app("mkVP", oper_ref("play_V2"), oper_ref("bill_N"))),
-                    ),
-                    GfFunction("Bill", (), (), "NP", app("mkNP", oper_ref("bill_N"))),
-                ]
-            )
+            GfFunction("Gone", (), (), "NP", app("mkNP", oper_ref("gone_N"))),
+            GfFunction("GoneFun", (), (), "NP", app("mkNP", fun_ref("Nothing"))),
+            GfFunction("Ill", (), (), "Message", app("mkCl", oper_ref("bill_N"), oper_ref("play_V2"))),
+            GfFunction("BadVerb", (), (), "V2", app("mkV2", oper_ref("bill_N"))),
+            GfFunction("Loose", (), (), "Message", app("mkCl", arg_ref("x"), arg_ref("x"))),
+            GfFunction(
+                "IllWithArgs",
+                ("a",),
+                ("NP",),
+                "Message",
+                app("mkCl", arg_ref("a"), app("mkVP", oper_ref("play_V2"), oper_ref("bill_N"))),
+            ),
+            GfFunction("Bill", (), (), "NP", app("mkNP", oper_ref("bill_N"))),
         ],
         opers={
             "bill_N": GfOper("bill_N", "N", app("mkN", Lit("Bill"), Lit("Bill"))),
@@ -295,19 +297,14 @@ def _cyclic_grammar():
     a_twice = app("mkNP", fun_ref("A"), fun_ref("A"))
     return GfGrammar(
         functions=[
-            ("c", i, fun)
-            for i, fun in enumerate(
-                [
-                    GfFunction("A", (), (), "NP", a_twice),
-                    GfFunction("B", (), (), "NP", app("mkNP", fun_ref("C"), fun_ref("C"))),
-                    GfFunction("C", (), (), "NP", app("mkNP", fun_ref("B"), fun_ref("B"))),
-                    # the body of A under another name reaches A again
-                    GfFunction("A2", (), (), "NP", a_twice),
-                    GfFunction("Loop", ("a",), ("NP",), "Message", app("mkCl", arg_ref("a"), fun_ref("A"))),
-                    GfFunction("sent_c", (), (), "Message", app("mkCl", fun_ref("B"), fun_ref("B"))),
-                    GfFunction("Selfish", (), (), "N", oper_ref("self_N")),
-                ]
-            )
+            GfFunction("A", (), (), "NP", a_twice),
+            GfFunction("B", (), (), "NP", app("mkNP", fun_ref("C"), fun_ref("C"))),
+            GfFunction("C", (), (), "NP", app("mkNP", fun_ref("B"), fun_ref("B"))),
+            # the body of A under another name reaches A again
+            GfFunction("A2", (), (), "NP", a_twice),
+            GfFunction("Loop", ("a",), ("NP",), "Message", app("mkCl", arg_ref("a"), fun_ref("A"))),
+            GfFunction("sent_c", (), (), "Message", app("mkCl", fun_ref("B"), fun_ref("B"))),
+            GfFunction("Selfish", (), (), "N", oper_ref("self_N")),
         ],
         opers={"self_N": GfOper("self_N", "N", app("mkN", oper_ref("self_N")))},
     )
@@ -416,3 +413,35 @@ def test_rules_never_accept_a_value_of_another_type_with_equal_fields():
                 with pytest.raises(RealizeTypeError):
                     _realize(node, twin)
     assert swapped > 20
+
+
+# --- a bare fragment linearizes like its one-fragment merge --------------------------
+
+
+@pytest.mark.parametrize("through_json", [False, True], ids=["built", "decoded"])
+def test_corpus_fragment_linearizes_like_its_merge(fixtures_dir, through_json):
+    fragments = _corpus_fragments(fixtures_dir)
+    if through_json:
+        fragments = [fragment_from_dict(json.loads(json.dumps(fragment_to_dict(f)))) for f in fragments]
+    assert len(fragments) == 60
+    for fragment in fragments:
+        names = fragment.function_names()
+        bare = [_outcome(lambda: linearize(fragment, name)) for name in names]
+        merged = merge([fragment])
+        assert bare == [_outcome(lambda: linearize(merged, name)) for name in names]
+        assert bare[-1] == linearize(fragment, "sent_" + sanitize_ident(fragment.sentence_id))
+
+
+@pytest.mark.parametrize("tsv", ["phylotastic_annotations.tsv", "people_annotations.tsv"])
+def test_annotation_fragment_linearizes_like_its_merge(fixtures_dir, tsv):
+    rng = random.Random(17)
+    symbols = ["web_link", "Kevin", "Daily_Mirror", "cow", NPv("scientific names", "pl")]
+    for annotation in load_annotations((fixtures_dir / tsv).read_text(encoding="utf-8")):
+        fragment, name = annotation.grammar, annotation.function_name
+        merged = merge([fragment])
+        pool = symbols + fragment.function_names()
+        for _ in range(50):
+            args = [rng.choice(pool) for _ in range(annotation.arity)]
+            bare = _outcome(lambda: linearize(fragment, name, args=args))
+            assert bare == _outcome(lambda: linearize(merged, name, args=args))
+        assert isinstance(linearize(fragment, name, args=symbols[: annotation.arity]), str)
