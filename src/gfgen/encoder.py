@@ -116,7 +116,7 @@ class GfGrammar:
 
     ``function`` finds the first function of a name, by an index made on the
     first lookup.  The linearizer makes ``_values`` on its first call and keeps
-    each value and plan there, some under the identity of a body that
+    each value and sequence there, some under the identity of a body that
     ``functions`` keeps alive.  From a first lookup on, neither ``functions``
     nor ``opers`` may change: ``add_oper`` and ``add_function`` build a grammar.
     """

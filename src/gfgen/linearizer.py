@@ -10,25 +10,24 @@ articles, single spaces.
 Phrase values are immutable named tuples.  One rule table, ``_RULES``, keyed
 by constructor and the exact types of the argument values, realizes every
 node, so two value types with equal fields never stand in for each other.
-Linearization reads any grammar, a sentence's fragment as well as a merged
-grammar, so one sentence needs no merge.  Values are kept per grammar, in a
-table made on the first call that reads it, and computed on first use only:
-an oper (ambient ones included) under ("oper", name), and a function without
-arguments under the identity of its body, since within one grammar that
-body alone fixes its value; the replicas of a merged corpus share their
-bodies, so each distinct body is evaluated once.  A function with arguments
-is compiled once per grammar into a plan, kept under ("fun", name), that
-folds its argument-free subexpressions to values and reads each argument by
-its position in the function's ``arg_names``; ``linearize`` evaluates the
-arguments before it compiles or runs the plan, and ``linearize_expr`` uses
-the same compile step.  No error is stored, so a dangling reference, an
-ill-typed node or a reference cycle raises on every use.  A cycle is found
-from the definitions that one call is still compiling, never from a marker
-in the grammar, and each entry is computed from immutable definitions alone,
-so a race only recomputes it.
+One evaluator, ``_value``, reads any grammar, a fragment or a merge, and
+looks argument references up in an environment.  A grammar keeps what is
+computed on first use in a table made on its first call: an oper's value
+(ambient ones too) under ("oper", name); an argument-free function's value
+under the identity of its body, which alone fixes it within one grammar, so
+merged replicas evaluate each distinct body once; and, per function called
+with ``NPv`` arguments and tuple of their numbers, its sequence under ("seq",
+name, numbers): its sentence as a format string of literal text and
+argument positions, which a call fills with the arguments' texts.  That
+holds because every rule reads an NP's text only to place it and branches
+only on its number.  Other arguments, a body that is no sentence and a
+lexeme that holds the sequence delimiter take direct evaluation on every
+call.  No error is stored, so a dangling reference, an ill-typed node or a
+cycle raises on every use.  A cycle is found from the definitions that one
+call is still evaluating, never from a marker in the grammar, and each entry
+is computed from immutable definitions alone, so a race only recomputes it.
 """
 
-from operator import itemgetter
 from typing import NamedTuple
 
 from . import morph
@@ -236,41 +235,26 @@ def _realize(node, values):
 def _ambient_value(name):
     cat = ambient_category(name)
     if cat is None:
-        return None
+        raise LookupError_("unknown oper %s" % name)
     word = name.rsplit("_", 1)[0].replace("_", " ")
     return Prepv(word) if cat == "Prep" else Conjv(word)
 
 
-def _compile(expr, grammar, scope, active=()):
-    """``expr``'s value, or its plan if it reads an argument named in ``scope``.
+def _value(expr, grammar, env, active=()):
+    """The value of ``expr``, whose ``arg`` references read ``env`` (name -> value).
 
-    A plan is a function of the argument values, in ``scope``'s order; no
-    value is callable.  Argument-free subexpressions are folded to their
-    values here, and each plan node evaluates only its parts that are plans.
     ``active`` holds the ``_values`` key of each definition that this call
-    is still compiling, so a reference back to one of them is a cycle.
+    is still evaluating, so a reference back to one of them is a cycle.
     """
     if isinstance(expr, App):
-        parts = [_compile(a, grammar, scope, active) for a in expr.args]
-        # with no argument in scope no part is a plan
-        plans = scope and [(i, p) for i, p in enumerate(parts) if callable(p)]
-        if not plans:
-            return _realize(expr, parts)
-
-        def plan(args):
-            values = parts.copy()
-            for i, part in plans:
-                values[i] = part(args)
-            return _realize(expr, values)
-
-        return plan
+        return _realize(expr, [_value(a, grammar, env, active) for a in expr.args])
     if isinstance(expr, Lit):
         return expr.text
     if isinstance(expr, Ref):
         if expr.kind == "arg":
-            if expr.name not in scope:
+            if expr.name not in env:
                 raise LookupError_("unbound argument %s" % expr.name)
-            return itemgetter(scope.index(expr.name))
+            return env[expr.name]
         if expr.kind == "oper":
             return _oper(grammar, expr.name, active)
         fun = grammar.function(expr.name)
@@ -281,55 +265,66 @@ def _compile(expr, grammar, scope, active=()):
 
 
 def _function(grammar, fun, active=()):
-    """The compiled function ``fun``, stored in the grammar on first use.
-
-    That is its value, kept under the identity of its body, or for a
-    function with arguments its plan, kept under ("fun", name).  Only a
-    compiled definition is stored, never an error.
-    """
-    key = ("fun", fun.name) if fun.arg_names else id(fun.lin)
-    compiled = grammar._values.get(key)
-    if compiled is None:
+    """The value of the argument-free function ``fun``, stored under the identity of its body."""
+    key = id(fun.lin)
+    value = grammar._values.get(key)
+    if value is None:
         if key in active:
             raise RealizeTypeError("cyclic reference to function %s" % fun.name)
-        active = active or []  # the first definition a call compiles starts its stack
+        active = active or []  # the first definition a call evaluates starts its stack
         active.append(key)
-        compiled = grammar._values[key] = _compile(fun.lin, grammar, fun.arg_names, active)
+        value = grammar._values[key] = _value(fun.lin, grammar, {}, active)
         active.pop()
-    return compiled
+    return value
 
 
 def _oper(grammar, name, active):
     """The value of the oper ``name``, stored in the grammar under ("oper", name) on first use."""
     key = ("oper", name)
-    compiled = grammar._values.get(key)
-    if compiled is None:
+    value = grammar._values.get(key)
+    if value is None:
         oper = grammar.opers.get(name)
         if oper is None:
-            compiled = _ambient_value(name)
-            if compiled is None:
-                raise LookupError_("unknown oper %s" % name)
+            value = _ambient_value(name)
         elif key in active:
             raise RealizeTypeError("cyclic reference to oper %s" % name)
         else:
             active = active or []
             active.append(key)
-            compiled = _compile(oper.definition, grammar, (), active)
+            value = _value(oper.definition, grammar, {}, active)
             active.pop()
-        grammar._values[key] = compiled
-    return compiled
+        grammar._values[key] = value
+    return value
+
+
+def _env(fun, values):  # a repeated argument name reads its first value
+    return dict(reversed(list(zip(fun.arg_names, values))))
+
+
+_MARK = "\x00"  # delimits an argument's place in a sentence that a sequence is made from
+
+
+def _sequence(grammar, fun, numbers):
+    """``fun``'s sentence over NPs of ``numbers``, as a format string over their texts.
+
+    False where the direct evaluation must serve: the body is not a sentence,
+    which that evaluation reports, or a lexeme holds ``_MARK``.
+    """
+    blank = _value(fun.lin, grammar, _env(fun, [NPv("", n) for n in numbers]))
+    if not isinstance(blank, str) or _MARK in blank:
+        return False
+    marks = [NPv("%s%d%s" % (_MARK, i, _MARK), n) for i, n in enumerate(numbers)]
+    pieces = _value(fun.lin, grammar, _env(fun, marks)).split(_MARK)
+    pieces[::2] = [p.replace("{", "{{").replace("}", "}}") for p in pieces[::2]]
+    pieces[1::2] = ["{%s}" % i for i in pieces[1::2]]
+    return "".join(pieces)
 
 
 def linearize_expr(expr, grammar, env=None):
-    """Evaluate a constructor expression to a typed phrase value.
-
-    ``env`` maps the argument names the expression reads to their values.
-    """
-    env = env or {}
+    """The typed phrase value of ``expr``; ``env`` maps the argument names it reads to values."""
     if grammar._values is None:
         grammar._values = {}
-    value = _compile(expr, grammar, tuple(env))
-    return value(tuple(env.values())) if callable(value) else value
+    return _value(expr, grammar, env or {})
 
 
 def _argument_value(grammar, text):
@@ -354,16 +349,21 @@ def linearize(grammar, function_name, args=(), period=False):
         grammar._values = {}
     if len(args) != len(fun.arg_names):
         raise RealizeTypeError(
-            "function %s takes %d arguments, got %d"
-            % (function_name, len(fun.arg_names), len(args))
+            "function %s takes %d arguments, got %d" % (function_name, len(fun.arg_names), len(args))
         )
-    values = [arg if isinstance(arg, NPv) else _argument_value(grammar, str(arg)) for arg in args]
-    value = _function(grammar, fun)
-    if callable(value):
-        value = value(values)
-    if not isinstance(value, str):
-        raise RealizeTypeError(
-            "function %s does not linearize to a sentence" % function_name
-        )
-    text = " ".join(value.split())
-    return text + "." if period else text
+    sequence = False
+    if args and all(type(arg) is NPv for arg in args):
+        key = ("seq", function_name, tuple([arg.number for arg in args]))
+        sequence = grammar._values.get(key)
+        if sequence is None:
+            sequence = grammar._values[key] = _sequence(grammar, fun, key[2])
+    if sequence is not False:
+        text = sequence.format(*[arg.text for arg in args])
+    elif args:
+        values = [arg if isinstance(arg, NPv) else _argument_value(grammar, str(arg)) for arg in args]
+        text = _value(fun.lin, grammar, _env(fun, values))
+    else:
+        text = _function(grammar, fun)
+    if not isinstance(text, str):
+        raise RealizeTypeError("function %s does not linearize to a sentence" % function_name)
+    return " ".join(text.split()) + ("." if period else "")

@@ -40,6 +40,10 @@ class GroundAtom:
     predicate: str
     args: tuple
 
+    def __post_init__(self):
+        if not (self.predicate and all(self.args)):
+            raise ValueError("atom predicate and arguments must be nonempty")
+
 
 @dataclass(frozen=True)
 class Triple:
@@ -200,6 +204,14 @@ def _strings(values):
     return isinstance(values, list) and all(isinstance(v, str) for v in values)
 
 
+def _numbered(where, make, *fields):
+    """``make(*fields)``, whose ValueError is prefixed with ``where``: a line or record."""
+    try:
+        return make(*fields)
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (where, exc)) from None
+
+
 def parse_atoms(text):
     """Atoms from fact-program text (one ``pred(a,b).`` per line) or JSON."""
     stripped = text.lstrip()
@@ -210,7 +222,7 @@ def parse_atoms(text):
                 isinstance(d, dict) and _strings([d.get("predicate")]) and _strings(d.get("args"))
             ):
                 raise ValueError("record %d: %s" % (n, ATOM_RECORD))
-            atoms.append(GroundAtom(predicate=d["predicate"], args=tuple(d["args"])))
+            atoms.append(_numbered("record %d" % n, GroundAtom, d["predicate"], tuple(d["args"])))
         return atoms
     atoms = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -221,7 +233,7 @@ def parse_atoms(text):
         if not m:
             raise ValueError("line %d: not a fact: %r" % (lineno, line))
         args = tuple(a.strip() for a in m.group(2).split(",")) if m.group(2).strip() else ()
-        atoms.append(GroundAtom(predicate=m.group(1), args=args))
+        atoms.append(_numbered("line %d" % lineno, GroundAtom, m.group(1), args))
     return atoms
 
 
@@ -235,7 +247,7 @@ def parse_triples(text):
                 d = [d.get(key) for key in ("subject", "relation", "object")]
             if not (_strings(d) and len(d) == 3):
                 raise ValueError("record %d: %s" % (n, TRIPLE_RECORD))
-            triples.append(Triple(*d))
+            triples.append(_numbered("record %d" % n, Triple, *d))
         return triples
     triples = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -245,5 +257,5 @@ def parse_triples(text):
         cols = line.split("\t")
         if len(cols) != 3:
             raise ValueError("line %d: expected 3 tab-separated columns" % lineno)
-        triples.append(Triple(cols[0].strip(), cols[1].strip(), cols[2].strip()))
+        triples.append(_numbered("line %d" % lineno, Triple, *(c.strip() for c in cols)))
     return triples

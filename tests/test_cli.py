@@ -413,6 +413,18 @@ VERBALIZE_ERRORS = {
         "{data}: record 1: " + TRIPLE_RECORD,
     ),
     "two-item triple record": (ANNOTATION, "--triples", '[["a", "b"]]', "{data}: record 1: " + TRIPLE_RECORD),
+    "atom with an empty argument": (
+        ANNOTATION,
+        "--atoms",
+        "input(a,).\n",
+        "{data}: line 1: atom predicate and arguments must be nonempty",
+    ),
+    "triple with an empty relation": (
+        ANNOTATION,
+        "--triples",
+        "Kevin\t\tFlossie\n",
+        "{data}: line 1: triple fields must be nonempty",
+    ),
 }
 
 

@@ -19,6 +19,7 @@ from gfgen.encoder import (
     sanitize_ident,
     synthesize_sentence,
 )
+from gfgen import linearizer
 from gfgen.exporter import GfGrammar, merge
 from gfgen.ingest import parse_conllu, parse_conllu_file
 from gfgen.linearizer import (
@@ -40,13 +41,14 @@ from gfgen.linearizer import (
     VPv,
     Vv,
     VVv,
+    _MARK,
     _realize,
     inflect_verb_3sg,
     linearize,
     linearize_expr,
     pluralize_noun,
 )
-from gfgen.verbalizer import load_annotations
+from gfgen.verbalizer import GroundAtom, _rdf_type_annotation, load_annotations, verbalize_atoms
 
 
 def test_people_grammar_simple_sent(people_grammar):
@@ -259,6 +261,7 @@ def _faulty_grammar():
                 app("mkCl", arg_ref("a"), app("mkVP", oper_ref("play_V2"), oper_ref("bill_N"))),
             ),
             GfFunction("Bill", (), (), "NP", app("mkNP", oper_ref("bill_N"))),
+            GfFunction("Phrase", ("a",), ("NP",), "NP", app("mkNP", arg_ref("a"), app("mkAdv", Lit("here")))),
         ],
         opers={
             "bill_N": GfOper("bill_N", "N", app("mkN", Lit("Bill"), Lit("Bill"))),
@@ -277,6 +280,9 @@ def _faulty_grammar():
         ("Loose", [], LookupError_, "unbound argument x"),
         ("IllWithArgs", ["Bill"], RealizeTypeError, "no realization of mkVP over (%s, %s)" % (V2v, Nv)),
         ("IllWithArgs", ["Gone"], LookupError_, "unknown oper gone_N"),
+        ("IllWithArgs", [NPv("Kevin", "sg")], RealizeTypeError, "no realization of mkVP over (%s, %s)" % (V2v, Nv)),
+        ("Phrase", [NPv("Kevin", "sg")], RealizeTypeError, "function Phrase does not linearize to a sentence"),
+        ("Phrase", ["Kevin"], RealizeTypeError, "function Phrase does not linearize to a sentence"),
     ],
 )
 def test_faults_raise_alike_on_every_call(name, args, error, message):
@@ -320,6 +326,7 @@ def _cyclic_grammar():
         ("sent_c", [], "cyclic reference to function B"),
         ("Loop", ["Kevin"], "cyclic reference to function A"),
         ("Selfish", [], "cyclic reference to oper self_N"),
+        ("Loop", [NPv("Kevin", "sg")], "cyclic reference to function A"),
     ],
 )
 def test_cyclic_reference_raises_alike_on_every_call(name, args, message):
@@ -445,3 +452,179 @@ def test_annotation_fragment_linearizes_like_its_merge(fixtures_dir, tsv):
             bare = _outcome(lambda: linearize(fragment, name, args=args))
             assert bare == _outcome(lambda: linearize(merged, name, args=args))
         assert isinstance(linearize(fragment, name, args=symbols[: annotation.arity]), str)
+
+
+# --- a function with arguments linearizes through its sequence --------------------------
+
+# the verbalization benchmark's three annotation shapes
+SHAPES = ["The {w} of $1 is $2", "$1 is the {w} of $2", "$1 {w} $2"]
+PLACEHOLDER = _MARK + "0" + _MARK
+TEXTS = ["Kevin", "", "  two   spaces ", "Daily_Mirror", "a" + _MARK + "b", PLACEHOLDER, "{1} }"]
+
+
+def _shape_annotations(fixtures_dir, per_shape=6):
+    nouns, verbs = set(), set()
+    for path in sorted((fixtures_dir / "corpus").glob("*/sentences.conllu")):
+        for facts in parse_conllu_file(path):
+            for tok in facts.tokens:
+                if tok.lemma.isalpha() and tok.lemma.islower():
+                    if tok.pos == "nn":
+                        nouns.add(tok.lemma)
+                    elif tok.pos == "vbz" and tok.lemma != "be":
+                        verbs.add(tok.surface)
+    rng = random.Random(11)
+    nouns = rng.sample(sorted(nouns), 2 * per_shape)
+    words = [nouns[:per_shape], nouns[per_shape:], sorted(verbs)[:per_shape]]
+    lines = [
+        "shape%d_%d/2\t%s" % (k, i, SHAPES[k].format(w=w))
+        for k, ws in enumerate(words)
+        for i, w in enumerate(ws)
+    ]
+    return load_annotations("\n".join(lines))
+
+
+def _cl(subject, predicate):
+    return app("mkCl", subject, predicate)
+
+
+def _hand_grammar():
+    a, b = arg_ref("a"), arg_ref("b")
+    both = app("mkNP", oper_ref("and_Conj"), app("mkListNP", a, b))  # always plural
+    beside = app("mkNP", a, app("mkAdv", oper_ref("with_Prep"), a))
+    return GfGrammar(
+        functions=[
+            # named like the tag of an oper entry, and reading an oper named like a number
+            GfFunction("oper", ("a",), ("NP",), "Message", _cl(a, app("mkNP", oper_ref("sg")))),
+            # one argument placed twice
+            GfFunction(
+                "twice", ("a", "b"), ("NP", "NP"), "Message", _cl(a, app("mkVP", oper_ref("see_V2"), both))
+            ),
+            GfFunction("beside", ("a",), ("NP",), "Message", _cl(beside, oper_ref("braces_AP"))),
+        ],
+        opers={
+            "sg": GfOper("sg", "N", app("mkN", Lit("thing"))),
+            "see_V2": GfOper("see_V2", "V2", app("mkV2", Lit("see"))),
+            "braces_AP": GfOper("braces_AP", "AP", app("mkAP", app("mkA", Lit("{0} }{")))),
+        },
+    )
+
+
+def _marked_grammar():
+    """Lexemes that hold the sequence delimiter: such functions evaluate directly."""
+    a = arg_ref("a")
+    marked_verb = app("mkV2", Lit("re" + _MARK + "ad"))
+    return GfGrammar(
+        functions=[
+            GfFunction("stray", ("a",), ("NP",), "Message", _cl(a, app("mkVP", marked_verb, a))),
+            # a lexeme that spells a whole placeholder stays a lexeme
+            GfFunction("spelled", ("a",), ("NP",), "Message", _cl(a, app("mkNP", oper_ref("mark_N")))),
+        ],
+        opers={"mark_N": GfOper("mark_N", "N", app("mkN", Lit(PLACEHOLDER)))},
+    )
+
+
+def _sequences(grammar, name):
+    """{argument numbers: sequence} of the function ``name`` in ``grammar``."""
+    return {
+        key[2]: sequence
+        for key, sequence in grammar._values.items()
+        if isinstance(key, tuple) and key[:2] == ("seq", name)
+    }
+
+
+def _direct(grammar, name, args):
+    fun = grammar.function(name)
+    return " ".join(linearize_expr(fun.lin, grammar, dict(zip(fun.arg_names, args))).split())
+
+
+def test_sequence_equals_direct_evaluation(fixtures_dir):
+    calls = [
+        (a.grammar, a.function_name)
+        for tsv in ("phylotastic_annotations.tsv", "people_annotations.tsv")
+        for a in load_annotations((fixtures_dir / tsv).read_text(encoding="utf-8"))
+    ]
+    calls += [(a.grammar, a.function_name) for a in _shape_annotations(fixtures_dir)]
+    calls.append((_rdf_type_annotation().grammar, _rdf_type_annotation().function_name))
+    hand, marked = _hand_grammar(), _marked_grammar()
+    calls += [(hand, name) for name in hand.function_names()]
+    calls += [(marked, name) for name in marked.function_names()]
+    assert len(calls) == 29
+    rng = random.Random(3)
+    for grammar, name in calls:
+        arity = len(grammar.function(name).arg_names)
+        argss = [
+            [NPv(rng.choice(TEXTS), rng.choice(["sg", "pl"])) for _ in range(arity)] for _ in range(40)
+        ]
+        expected = [_direct(grammar, name, args) for args in argss]
+        assert [linearize(grammar, name, args=args) for args in argss] == expected
+        assert [linearize(grammar, name, args=args) for args in argss] == expected
+        sequences = _sequences(grammar, name)
+        assert sequences.keys() == {tuple(a.number for a in args) for args in argss}
+        if grammar is marked:
+            assert set(sequences.values()) == {False}  # made once, then not retried
+        else:
+            assert all(isinstance(sequence, str) for sequence in sequences.values())
+    assert linearize(hand, "oper", args=[NPv("Kevin", "sg")]) == "Kevin is thing"
+    assert type(hand._values[("oper", "sg")]) is Nv
+    assert linearize(hand, "twice", args=[NPv("x", "sg"), NPv("y", "pl")]) == "x sees x and y"
+    assert linearize(hand, "beside", args=[NPv("x", "pl")]) == "x with x are {0} }{"
+    assert linearize(marked, "spelled", args=[NPv("Kevin", "sg")]) == "Kevin is " + PLACEHOLDER
+
+
+def test_repeated_argument_name_reads_its_first_value():
+    dup = GfFunction("dup", ("a", "a"), ("NP", "NP"), "Message", _cl(arg_ref("a"), arg_ref("a")))
+    grammar = GfGrammar(functions=[dup])
+    # NPv arguments take the sequence, symbol texts the direct evaluation
+    for args in ([NPv("first", "sg"), NPv("second", "pl")], ["first", "second"]):
+        assert linearize(grammar, "dup", args=args) == "first is first"
+
+
+def test_rule_nodes_are_evaluated_once_per_annotation_and_argument_numbers(fixtures_dir, monkeypatch):
+    text = "".join(
+        (fixtures_dir / tsv).read_text(encoding="utf-8")
+        for tsv in ("phylotastic_annotations.tsv", "people_annotations.tsv")
+    )
+    annotations, fresh = load_annotations(text), load_annotations(text)
+    realized = []
+    realize = linearizer._realize
+
+    def counted(node, values):
+        realized.append(node)
+        return realize(node, values)
+
+    monkeypatch.setattr(linearizer, "_realize", counted)
+
+    def nodes(call):
+        realized.clear()
+        call()
+        return len(realized)
+
+    # the rule nodes of one first call, per annotation
+    cost = {
+        a.predicate: nodes(lambda: linearize(a.grammar, a.function_name, args=[NPv("x", "sg")] * a.arity))
+        for a in fresh
+    }
+    assert all(cost.values())
+    one = [GroundAtom("reads", ("Mick", "Daily_Mirror"))]
+    assert nodes(lambda: verbalize_atoms(one, annotations)) == cost["reads"]
+
+    rng = random.Random(5)
+    symbols = ["Kevin", "Flossie", "web_link", "url", "Daily_Mirror"]
+    atoms = [
+        GroundAtom(rng.choice(sorted(cost)), (rng.choice(symbols), rng.choice(symbols)))
+        for _ in range(200)
+    ]
+    used = {a.predicate for a in atoms}
+    assert used == set(cost)
+    # each fact past the first of its annotation is one join of its sequence
+    assert nodes(lambda: verbalize_atoms(atoms, annotations)) == sum(cost[p] for p in used - {"reads"})
+    assert nodes(lambda: verbalize_atoms(atoms, annotations)) == 0
+    for annotation in annotations:
+        assert list(_sequences(annotation.grammar, annotation.function_name)) == [("sg", "sg")]
+
+    # one more sequence per numbers tuple that a grammar is called with, and one only
+    grammar, name = annotations[0].grammar, annotations[0].function_name
+    numbers = [("pl", "sg"), ("sg", "pl"), ("pl", "pl"), ("pl", "sg")]
+    for first, second in numbers:
+        linearize(grammar, name, args=[NPv("a", first), NPv("b", second)])
+    assert _sequences(grammar, name).keys() == {("sg", "sg")} | set(numbers)

@@ -148,11 +148,46 @@ def test_parse_atoms_bad_line():
         parse_atoms("nonsense\n")
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("has_pet(kevin,).\n", "line 1"),
+        ("has_pet(,flossie).\n", "line 1"),
+        ("reads(mick, paper).\n\nhas_pet(kevin, ,flossie).\n", "line 3"),
+        ('[{"predicate": "has_pet", "args": ["kevin", ""]}]', "record 1"),
+        ('[{"predicate": "p", "args": []}, {"predicate": "", "args": ["a"]}]', "record 2"),
+    ],
+    ids=["trailing comma", "leading comma", "inner comma", "empty record arg", "empty record predicate"],
+)
+def test_parse_atoms_rejects_an_empty_argument_or_predicate(text, where):
+    with pytest.raises(ValueError) as exc:
+        parse_atoms(text)
+    assert str(exc.value) == where + ": atom predicate and arguments must be nonempty"
+
+
+def test_ground_atom_rejects_empty_fields_yet_takes_no_arguments():
+    for predicate, args in [("has_pet", ("kevin", "")), ("has_pet", ("", "")), ("", ("kevin",)), ("", ())]:
+        with pytest.raises(ValueError, match="nonempty"):
+            GroundAtom(predicate, args)
+    assert parse_atoms("p().\nq( ).\n") == [GroundAtom("p", ()), GroundAtom("q", ())]
+    assert parse_atoms('[{"predicate": "p", "args": []}]') == [GroundAtom("p", ())]
+
+
 def test_parse_triples_tsv_and_json():
     tsv = parse_triples("Kevin\thas_pet\tFlossie\n")
     assert tsv == [Triple("Kevin", "has_pet", "Flossie")]
     js = parse_triples('[{"subject": "a", "relation": "r", "object": "b"}, ["x", "y", "z"]]')
     assert js == [Triple("a", "r", "b"), Triple("x", "y", "z")]
+    # an empty field names its line or record
+    for text, where in [
+        ("Kevin\t\tFlossie\n", "line 1"),
+        ("Kevin\thas_pet\tFlossie\n\n \tis\tcow\n", "line 3"),
+        ('[["a", "r", "b"], ["a", "", "b"]]', "record 2"),
+        ('[{"subject": "", "relation": "r", "object": "b"}]', "record 1"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            parse_triples(text)
+        assert str(exc.value) == where + ": triple fields must be nonempty"
 
 
 def test_annotation_lin_references_each_arg_once(phylo_annotations):
