@@ -26,7 +26,7 @@ tables miss is checked.  Encoding builds each sentence's own objects.
 """
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import NamedTuple
 
 from . import morph
@@ -49,6 +49,21 @@ class CategoryError(ValueError):
 # --- constructor expressions -------------------------------------------------
 
 
+def _record(cls):
+    """``cls`` as a frozen, slotted dataclass: every assignment and deletion raises.
+
+    On Python 3.11 the generated methods raise TypeError, not
+    FrozenInstanceError, for a name that is no field.
+    """
+    cls = dataclass(frozen=True, slots=True)(cls)
+
+    def refuse(self, name, *value):
+        raise FrozenInstanceError("cannot %s field %r" % ("assign to" if value else "delete", name))
+
+    cls.__setattr__ = cls.__delattr__ = refuse
+    return cls
+
+
 # App is a named tuple, which is quicker to build for every node of every
 # sentence.  Ref, Lit and GfOper stay slotted classes, which are smaller in a
 # decoded corpus, and GfFunction is no tuple: bench/run.py still reads any
@@ -60,13 +75,13 @@ class App(NamedTuple):
     forms: tuple = ()  # observed inflections, e.g. (("part", "made"),)
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class Ref:
     name: str
     kind: str  # "oper" | "fun" | "arg"
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class Lit:
     text: str
 
@@ -87,14 +102,14 @@ def arg_ref(name):
     return Ref(name, "arg")
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class GfOper:
     name: str
     category: str
     definition: App
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class GfFunction:
     name: str
     arg_names: tuple

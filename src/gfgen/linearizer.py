@@ -20,12 +20,16 @@ with ``NPv`` arguments and tuple of their numbers, its sequence under ("seq",
 name, numbers): its sentence as a format string of literal text and
 argument positions, which a call fills with the arguments' texts.  That
 holds because every rule reads an NP's text only to place it and branches
-only on its number.  Other arguments, a body that is no sentence and a
-lexeme that holds the sequence delimiter take direct evaluation on every
-call.  No error is stored, so a dangling reference, an ill-typed node or a
-cycle raises on every use.  A cycle is found from the definitions that one
-call is still evaluating, never from a marker in the grammar, and each entry
-is computed from immutable definitions alone, so a race only recomputes it.
+only on its number.  A call whose arguments are all ``NPv`` reads that key
+first and, on a hit, only fills the sequence: no lookup and no arity check.
+That is sound because a sequence is stored only after a call of this name
+with this many arguments passed both, and a grammar's functions do not
+change after its first lookup.  Other arguments, a body that is no sentence
+and a lexeme that holds the sequence delimiter take direct evaluation on
+every call.  No error is stored, so a dangling reference, an ill-typed node
+or a cycle raises on every use.  A cycle is found from the definitions that
+one call is still evaluating, never from a marker in the grammar, and each
+entry is computed from immutable definitions alone, so a race only recomputes it.
 """
 
 from typing import NamedTuple
@@ -344,24 +348,34 @@ def linearize(grammar, function_name, args=(), period=False):
     that names a function of the grammar or else is an opaque symbol
     (underscores become spaces, singular number).
     """
+    values = grammar._values
+    if values is None:
+        values = grammar._values = {}
+    sequence = False
+    if args:
+        texts, numbers = [], []
+        for arg in args:
+            if type(arg) is not NPv:
+                break
+            texts.append(arg.text)
+            numbers.append(arg.number)
+        else:  # a stored sequence is filled at once; an empty one takes the path below
+            key = ("seq", function_name, tuple(numbers))
+            sequence = values.get(key)
+            if sequence:
+                return " ".join(sequence.format(*texts).split()) + ("." if period else "")
     fun = grammar.function(function_name)
-    if grammar._values is None:
-        grammar._values = {}
     if len(args) != len(fun.arg_names):
         raise RealizeTypeError(
             "function %s takes %d arguments, got %d" % (function_name, len(fun.arg_names), len(args))
         )
-    sequence = False
-    if args and all(type(arg) is NPv for arg in args):
-        key = ("seq", function_name, tuple([arg.number for arg in args]))
-        sequence = grammar._values.get(key)
-        if sequence is None:
-            sequence = grammar._values[key] = _sequence(grammar, fun, key[2])
+    if sequence is None:
+        sequence = values[key] = _sequence(grammar, fun, key[2])
     if sequence is not False:
-        text = sequence.format(*[arg.text for arg in args])
+        text = sequence.format(*texts)
     elif args:
-        values = [arg if isinstance(arg, NPv) else _argument_value(grammar, str(arg)) for arg in args]
-        text = _value(fun.lin, grammar, _env(fun, values))
+        argv = [arg if isinstance(arg, NPv) else _argument_value(grammar, str(arg)) for arg in args]
+        text = _value(fun.lin, grammar, _env(fun, argv))
     else:
         text = _function(grammar, fun)
     if not isinstance(text, str):

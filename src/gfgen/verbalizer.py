@@ -18,7 +18,15 @@ from .exporter import merge  # noqa: F401  uncalled here; bench/run.py swaps it 
 from .linearizer import NPv, linearize
 from .template import TemplateError, parse_template
 
-ATOM_LINE = re.compile(r"^\s*([A-Za-z0-9_:]+)\s*\(([^)]*)\)\s*\.\s*$")
+# an argument is a double-quoted string, in which commas and ")" do not split
+# and \" and \\ stand for " and \, as clingo prints string constants; or any
+# other text without a comma, quote or ")"
+_ARG = r'\s*"((?:[^"\\]|\\.)*)"\s*|([^,")]*)'
+ATOM_LINE = re.compile(
+    r"^\s*([A-Za-z0-9_:]+)\s*\(((?:(?:%s),)*(?:%s))\)\s*\.\s*$" % (_ARG, _ARG)
+)
+_ARGUMENT = re.compile(r"(?:^|,)(?:%s)(?=,|$)" % _ARG)
+_ESCAPE = re.compile(r'\\(["\\])')
 
 RDF_TYPE_RELATIONS = {"rdf:type", "a"}
 
@@ -212,6 +220,12 @@ def _numbered(where, make, *fields):
         raise ValueError("%s: %s" % (where, exc)) from None
 
 
+def _symbol(argument):
+    """The symbol of an ``_ARGUMENT`` match, stripped like every field."""
+    quoted, text = argument.groups()
+    return (text if quoted is None else _ESCAPE.sub(r"\1", quoted)).strip()
+
+
 def parse_atoms(text):
     """Atoms from fact-program text (one ``pred(a,b).`` per line) or JSON."""
     stripped = text.lstrip()
@@ -222,7 +236,8 @@ def parse_atoms(text):
                 isinstance(d, dict) and _strings([d.get("predicate")]) and _strings(d.get("args"))
             ):
                 raise ValueError("record %d: %s" % (n, ATOM_RECORD))
-            atoms.append(_numbered("record %d" % n, GroundAtom, d["predicate"], tuple(d["args"])))
+            args = tuple(a.strip() for a in d["args"])
+            atoms.append(_numbered("record %d" % n, GroundAtom, d["predicate"].strip(), args))
         return atoms
     atoms = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -232,7 +247,7 @@ def parse_atoms(text):
         m = ATOM_LINE.match(line)
         if not m:
             raise ValueError("line %d: not a fact: %r" % (lineno, line))
-        args = tuple(a.strip() for a in m.group(2).split(",")) if m.group(2).strip() else ()
+        args = tuple(_symbol(a) for a in _ARGUMENT.finditer(m.group(2))) if m.group(2).strip() else ()
         atoms.append(_numbered("line %d" % lineno, GroundAtom, m.group(1), args))
     return atoms
 
@@ -247,7 +262,7 @@ def parse_triples(text):
                 d = [d.get(key) for key in ("subject", "relation", "object")]
             if not (_strings(d) and len(d) == 3):
                 raise ValueError("record %d: %s" % (n, TRIPLE_RECORD))
-            triples.append(_numbered("record %d" % n, Triple, *d))
+            triples.append(_numbered("record %d" % n, Triple, *(f.strip() for f in d)))
         return triples
     triples = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

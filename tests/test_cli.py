@@ -419,6 +419,18 @@ VERBALIZE_ERRORS = {
         "input(a,).\n",
         "{data}: line 1: atom predicate and arguments must be nonempty",
     ),
+    "atom record with a blank argument": (
+        ANNOTATION,
+        "--atoms",
+        '[{"predicate": "input", "args": ["a", " "]}]',
+        "{data}: record 1: atom predicate and arguments must be nonempty",
+    ),
+    "atom with an unterminated quote": (
+        ANNOTATION,
+        "--atoms",
+        'input("a, b).\n',
+        "{data}: line 1: not a fact: 'input(\"a, b).'",
+    ),
     "triple with an empty relation": (
         ANNOTATION,
         "--triples",

@@ -16,6 +16,8 @@ from gfgen.engine import CLAUSE_SHAPES, Atom
 from gfgen.encoder import (
     App,
     CategoryError,
+    GfFunction,
+    GfOper,
     GfTypeError,
     GfGrammar,
     LookupError_,
@@ -400,7 +402,7 @@ def test_corpus_fragments_golden(fixtures_dir):
 
 
 # one of each immutable record that ingest, recognition, components and encoding
-# build for every sentence
+# build for every sentence, and the grammar records they are made of
 PER_SENTENCE_RECORDS = [
     Token(1, "a", "a", "nn"),
     DependencyFact("nsubj", 2, 1),
@@ -411,6 +413,10 @@ PER_SENTENCE_RECORDS = [
     Chunk(1, "a", attachments=(Attachment("adj_mod", Chunk(2, "b")),)),
     ComponentMap(sub=1, verb=2, obj=3),
     app("mkNP", Ref("a_N", "oper"), num="pl"),
+    Ref("a_N", "oper"),
+    Lit("a"),
+    GfOper("a_N", "N", app("mkN", Lit("a"))),
+    GfFunction("f", ("a",), ("NP",), "Message", app("mkCl", arg_ref("a"), oper_ref("a_AP"))),
 ]
 
 
@@ -422,4 +428,6 @@ def test_per_sentence_records_reject_attribute_assignment(record):
     for name in fields + ("extra",):
         with pytest.raises(AttributeError):
             setattr(record, name, "y")
+        with pytest.raises(AttributeError):
+            delattr(record, name)
     assert repr(record) == before

@@ -579,23 +579,35 @@ def test_repeated_argument_name_reads_its_first_value():
         assert linearize(grammar, "dup", args=args) == "first is first"
 
 
+def _count_work(monkeypatch):
+    """Lists that collect each rule node realized and each function name looked up."""
+    realized, looked_up = [], []
+    realize, function = linearizer._realize, GfGrammar.function
+
+    def counted(node, values):
+        realized.append(node)
+        return realize(node, values)
+
+    def counted_lookup(grammar, name, *default):
+        looked_up.append(name)
+        return function(grammar, name, *default)
+
+    monkeypatch.setattr(linearizer, "_realize", counted)
+    monkeypatch.setattr(GfGrammar, "function", counted_lookup)
+    return realized, looked_up
+
+
 def test_rule_nodes_are_evaluated_once_per_annotation_and_argument_numbers(fixtures_dir, monkeypatch):
     text = "".join(
         (fixtures_dir / tsv).read_text(encoding="utf-8")
         for tsv in ("phylotastic_annotations.tsv", "people_annotations.tsv")
     )
     annotations, fresh = load_annotations(text), load_annotations(text)
-    realized = []
-    realize = linearizer._realize
-
-    def counted(node, values):
-        realized.append(node)
-        return realize(node, values)
-
-    monkeypatch.setattr(linearizer, "_realize", counted)
+    realized, looked_up = _count_work(monkeypatch)
 
     def nodes(call):
         realized.clear()
+        looked_up.clear()
         call()
         return len(realized)
 
@@ -616,9 +628,15 @@ def test_rule_nodes_are_evaluated_once_per_annotation_and_argument_numbers(fixtu
     ]
     used = {a.predicate for a in atoms}
     assert used == set(cost)
-    # each fact past the first of its annotation is one join of its sequence
-    assert nodes(lambda: verbalize_atoms(atoms, annotations)) == sum(cost[p] for p in used - {"reads"})
+    # each fact past the first of its annotation is one fill of its sequence;
+    # only a call that builds a sequence looks its function up (the other
+    # lookups are references in the bodies it evaluates)
+    built = used - {"reads"}
+    assert nodes(lambda: verbalize_atoms(atoms, annotations)) == sum(cost[p] for p in built)
+    called = {a.function_name for a in annotations}
+    assert len([name for name in looked_up if name in called]) == len(built)
     assert nodes(lambda: verbalize_atoms(atoms, annotations)) == 0
+    assert looked_up == []
     for annotation in annotations:
         assert list(_sequences(annotation.grammar, annotation.function_name)) == [("sg", "sg")]
 
@@ -628,3 +646,38 @@ def test_rule_nodes_are_evaluated_once_per_annotation_and_argument_numbers(fixtu
     for first, second in numbers:
         linearize(grammar, name, args=[NPv("a", first), NPv("b", second)])
     assert _sequences(grammar, name).keys() == {("sg", "sg")} | set(numbers)
+
+
+def test_stored_sequence_leaves_every_other_call_as_before(monkeypatch):
+    hand = _hand_grammar()
+    kevin = [NPv("Kevin", "sg")]
+    assert linearize(hand, "oper", args=kevin) == "Kevin is thing"
+    assert _sequences(hand, "oper") == {("sg",): "{0} is thing"}
+    realized, looked_up = _count_work(monkeypatch)
+    for args in ([], kevin * 2, ["Kevin", NPv("Mick", "sg")]):
+        with pytest.raises(RealizeTypeError) as exc:
+            linearize(hand, "oper", args=args)
+        assert exc.value.args[0] == "function oper takes 1 arguments, got %d" % len(args)
+    with pytest.raises(LookupError_):
+        linearize(hand, "seq", args=kevin)
+    assert looked_up == ["oper"] * 3 + ["seq"]
+    assert realized == []
+    assert _sequences(hand, "oper") == {("sg",): "{0} is thing"}  # no error is stored
+    # a text argument evaluates the body on every call
+    for _ in range(2):
+        realized.clear()
+        assert linearize(hand, "oper", args=["Kevin"], period=True) == "Kevin is thing."
+        assert realized
+    # the function named like the tag of an oper entry reads its own sequence
+    looked_up.clear()
+    realized.clear()
+    assert linearize(hand, "oper", args=[NPv(" Mick  Jr ", "pl")]) == "Mick Jr are thing"
+    assert linearize(hand, "oper", args=[NPv("Mick", "pl")], period=True) == "Mick are thing."
+    assert type(hand._values[("oper", "sg")]) is Nv
+    assert _sequences(hand, "oper").keys() == {("sg",), ("pl",)}
+    assert looked_up == ["oper"]  # only the call that built the plural sequence
+    # an empty sequence is filled like any other
+    quiet = app("mkCl", app("mkNP", app("mkN", Lit(""), Lit("")), num="pl"), app("mkVP", app("mkV", Lit(""))))
+    grammar = GfGrammar(functions=[GfFunction("quiet", ("a",), ("NP",), "Message", quiet)])
+    assert [linearize(grammar, "quiet", args=kevin, period=True) for _ in range(3)] == ["."] * 3
+    assert _sequences(grammar, "quiet") == {("sg",): ""}

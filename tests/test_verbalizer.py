@@ -156,8 +156,22 @@ def test_parse_atoms_bad_line():
         ("reads(mick, paper).\n\nhas_pet(kevin, ,flossie).\n", "line 3"),
         ('[{"predicate": "has_pet", "args": ["kevin", ""]}]', "record 1"),
         ('[{"predicate": "p", "args": []}, {"predicate": "", "args": ["a"]}]', "record 2"),
+        ('[{"predicate": "has_pet", "args": ["kevin", "  "]}]', "record 1"),
+        ('[{"predicate": " ", "args": ["a"]}]', "record 1"),
+        ('has_pet("", flossie).\n', "line 1"),
+        ('reads(mick, paper).\nhas_pet(kevin, " ").\n', "line 2"),
     ],
-    ids=["trailing comma", "leading comma", "inner comma", "empty record arg", "empty record predicate"],
+    ids=[
+        "trailing comma",
+        "leading comma",
+        "inner comma",
+        "empty record arg",
+        "empty record predicate",
+        "blank record arg",
+        "blank record predicate",
+        "empty quoted arg",
+        "blank quoted arg",
+    ],
 )
 def test_parse_atoms_rejects_an_empty_argument_or_predicate(text, where):
     with pytest.raises(ValueError) as exc:
@@ -173,6 +187,25 @@ def test_ground_atom_rejects_empty_fields_yet_takes_no_arguments():
     assert parse_atoms('[{"predicate": "p", "args": []}]') == [GroundAtom("p", ())]
 
 
+def test_parse_atoms_reads_a_quoted_argument_as_one_symbol(people_annotations):
+    atoms = parse_atoms(
+        'has_pet("Kevin, Jr.", flossie).\n'
+        'has_pet("Kevin", flossie).\n'
+        'reads( "say \\"hi\\" \\\\ (x)" , "a)b" ).\n'
+    )
+    assert atoms == [
+        GroundAtom("has_pet", ("Kevin, Jr.", "flossie")),
+        GroundAtom("has_pet", ("Kevin", "flossie")),
+        GroundAtom("reads", ('say "hi" \\ (x)', "a)b")),
+    ]
+    assert verbalize_atoms(atoms[:2], people_annotations) == (
+        "Kevin, Jr. has_pets flossie. Kevin has_pets flossie."
+    )
+    for text in ['p(a).\nhas_pet("Kevin, flossie).\n', 'p(a).\nhas_pet("Kevin" "Jr", flossie).\n']:
+        with pytest.raises(ValueError, match="^line 2: not a fact"):
+            parse_atoms(text)
+
+
 def test_parse_triples_tsv_and_json():
     tsv = parse_triples("Kevin\thas_pet\tFlossie\n")
     assert tsv == [Triple("Kevin", "has_pet", "Flossie")]
@@ -184,6 +217,8 @@ def test_parse_triples_tsv_and_json():
         ("Kevin\thas_pet\tFlossie\n\n \tis\tcow\n", "line 3"),
         ('[["a", "r", "b"], ["a", "", "b"]]', "record 2"),
         ('[{"subject": "", "relation": "r", "object": "b"}]', "record 1"),
+        ('[["Kevin", "has_pet", " "]]', "record 1"),
+        ('[["a", "r", "b"], {"subject": "a", "relation": "\\t", "object": "b"}]', "record 2"),
     ]:
         with pytest.raises(ValueError) as exc:
             parse_triples(text)
