@@ -90,16 +90,17 @@ class SentenceFacts:
                 )
             # a token may carry several incoming labels only in malformed input
             parent.setdefault(dep.dependent, dep.head)
+        # each token is walked once, by the walk from the first start that reaches
+        # it; a walk that stops at an earlier walk's token has reached a root,
+        # one that stops at its own token has a cycle
+        walked_from = {}
         for start in parent:
-            seen = set()
             node = start
-            while node in parent:
-                if node in seen:
-                    raise StructureError(
-                        "sentence %r: cyclic dependency heads" % self.sentence_id
-                    )
-                seen.add(node)
+            while node in parent and node not in walked_from:
+                walked_from[node] = start
                 node = parent[node]
+            if walked_from.get(node) == start:
+                raise StructureError("sentence %r: cyclic dependency heads" % self.sentence_id)
 
     @cached_property
     def fact_index(self):

@@ -3,7 +3,9 @@
 BLEU-3 is the geometric mean of clipped 1/2/3-gram precisions with equal
 weights and the standard brevity penalty; a sentence is BLEU-assessable only
 when all three precisions are nonzero.  ROUGE-N is the F1 of clipped n-gram
-overlap and ROUGE-L the F1 over the longest common subsequence.
+overlap and ROUGE-L the F1 over the longest common subsequence.  One order's
+clipped overlap takes one count table: the reference's n-grams are counted,
+and each hypothesis n-gram that finds a count left takes one.
 """
 
 import math
@@ -21,33 +23,34 @@ def tokenize(text):
     return tokens
 
 
-def _ngrams(tokens, n):
-    counts = {}
-    for gram in tokens if n == 1 else zip(*[tokens[i:] for i in range(n)]):
-        counts[gram] = counts.get(gram, 0) + 1
-    return counts
+_GRAMS = {1: iter, 2: lambda t: zip(t, t[1:]), 3: lambda t: zip(t, t[1:], t[2:])}
 
 
-def _precision(hyp_tokens, ref_tokens, n):
-    hyp = _ngrams(hyp_tokens, n)
-    if not hyp:
-        return 0.0
-    ref = _ngrams(ref_tokens, n)
-    clipped = sum(min(count, ref.get(gram, 0)) for gram, count in hyp.items())
-    return clipped / (len(hyp_tokens) - n + 1)
+def _overlap(hypothesis, reference, n):
+    """Clipped overlap of order ``n`` (1 to 3): the size of the two n-gram multisets' intersection."""
+    grams = _GRAMS[n]
+    left = {}
+    for gram in grams(reference):
+        left[gram] = left.get(gram, 0) + 1
+    overlap = 0
+    for gram in grams(hypothesis):
+        if count := left.get(gram):
+            left[gram] = count - 1
+            overlap += 1
+    return overlap
 
 
 def bleu3(hypothesis, reference):
     """BLEU-3 with weights (1/3, 1/3, 1/3); 0.0 when any precision is zero."""
-    precisions = []
-    for n in (1, 2, 3):
-        p = _precision(hypothesis, reference, n)
-        if p == 0.0:
-            return 0.0
-        precisions.append(p)
     c, r = len(hypothesis), len(reference)
+    log_sum = 0.0
+    for n in (1, 2, 3):
+        overlap = _overlap(hypothesis, reference, n) if c >= n else 0
+        if not overlap:
+            return 0.0
+        log_sum += math.log(overlap / (c - n + 1))
     bp = 1.0 if c >= r else math.exp(1.0 - r / c)
-    return 100.0 * bp * math.exp(sum(math.log(p) for p in precisions) / 3.0)
+    return 100.0 * bp * math.exp(log_sum / 3.0)
 
 
 def is_bleu_assessable(hypothesis, reference):
@@ -63,12 +66,9 @@ def _f1(precision, recall):
 
 
 def _rouge_n(hypothesis, reference, n):
-    hyp = _ngrams(hypothesis, n)
-    ref = _ngrams(reference, n)
-    if not hyp or not ref:
-        return 0.0
-    overlap = sum(min(count, hyp.get(gram, 0)) for gram, count in ref.items())
-    return _f1(overlap / (len(hypothesis) - n + 1), overlap / (len(reference) - n + 1))
+    c, r = len(hypothesis) - n + 1, len(reference) - n + 1
+    overlap = _overlap(hypothesis, reference, n) if c > 0 and r > 0 else 0
+    return _f1(overlap / c, overlap / r) if overlap else 0.0
 
 
 def _lcs_length(a, b):

@@ -19,14 +19,14 @@ from .linearizer import NPv, linearize
 from .template import TemplateError, parse_template
 
 # an argument is a double-quoted string, in which commas and ")" do not split
-# and \" and \\ stand for " and \, as clingo prints string constants; or any
-# other text without a comma, quote or ")"
+# and \", \\ and \n stand for ", \ and a newline, as clingo prints string
+# constants; or any other text without a comma, quote or ")"
 _ARG = r'\s*"((?:[^"\\]|\\.)*)"\s*|([^,")]*)'
 ATOM_LINE = re.compile(
     r"^\s*([A-Za-z0-9_:]+)\s*\(((?:(?:%s),)*(?:%s))\)\s*\.\s*$" % (_ARG, _ARG)
 )
 _ARGUMENT = re.compile(r"(?:^|,)(?:%s)(?=,|$)" % _ARG)
-_ESCAPE = re.compile(r'\\(["\\])')
+_ESCAPE = re.compile(r'\\(["\\n])')
 
 RDF_TYPE_RELATIONS = {"rdf:type", "a"}
 
@@ -220,10 +220,14 @@ def _numbered(where, make, *fields):
         raise ValueError("%s: %s" % (where, exc)) from None
 
 
+def _unescape(match):
+    return "\n" if match[1] == "n" else match[1]
+
+
 def _symbol(argument):
     """The symbol of an ``_ARGUMENT`` match, stripped like every field."""
     quoted, text = argument.groups()
-    return (text if quoted is None else _ESCAPE.sub(r"\1", quoted)).strip()
+    return (text if quoted is None else _ESCAPE.sub(_unescape, quoted)).strip()
 
 
 def parse_atoms(text):

@@ -96,3 +96,33 @@ def test_regenerate_matches_reference_hypotheses(fixtures_dir):
         for facts in parse_conllu_file(path)
     }
     assert got == expected
+
+
+# Exact per-portal scores as float.hex of (bleu3, rouge1, rouge2, rougeL), with
+# (sentences, recognized, BLEU-assessable); the report rounds them to one decimal
+FROZEN_SCORES = {
+    "food_drink": (
+        (23, 23, 18),
+        ("0x1.3d569f87acc6cp+6", "0x1.72c225c9ace61p+6", "0x1.2aceef768e2d3p+6", "0x1.5e856fa745b06p+6"),
+    ),
+    "mathematics": (
+        (24, 22, 19),
+        ("0x1.1f5308c3d4e24p+6", "0x1.6aacb276869d5p+6", "0x1.2abc43917236fp+6", "0x1.6366e10229861p+6"),
+    ),
+    "people": (
+        (15, 15, 8),
+        ("0x1.29a29c0c3a204p+6", "0x1.68188d2bbb75ep+6", "0x1.0148cada4108ep+6", "0x1.62c337d666209p+6"),
+    ),
+}
+
+
+def test_corpus_scores_are_bit_identical_to_the_frozen_values(fixtures_dir):
+    scores = run_corpus(fixtures_dir / "corpus", warn=lambda msg: None)
+    got = {
+        portal: (
+            (s.n_sentences, s.n_recognized, s.n_bleu_assessable),
+            tuple(float.hex(v) for v in (s.bleu3, s.rouge1_f, s.rouge2_f, s.rougeL_f)),
+        )
+        for portal, s in scores.items()
+    }
+    assert got == FROZEN_SCORES

@@ -101,6 +101,35 @@ def test_cyclic_heads_name_sentence():
         parse_conllu(text)
 
 
+def chain_facts(heads):
+    """A sentence whose token i (from 1) hangs from ``heads[i - 1]``; head 0 is the root."""
+    tokens = tuple(Token(i, "w", "w", "nn") for i in range(1, len(heads) + 1))
+    deps = frozenset(
+        DependencyFact("dep", head, dependent)
+        for dependent, head in enumerate(heads, start=1)
+        if head
+    )
+    return SentenceFacts("chain", tokens, deps)
+
+
+def test_long_head_chain_is_a_forest():
+    # token i hangs from token i - 1: one chain 2,000 tokens deep
+    facts = chain_facts(range(2000))
+    assert len(facts.deps) == 1999
+
+
+def test_cycle_at_the_far_end_of_a_long_chain():
+    # token i hangs from token i + 1 up to the last, which hangs from the one before it
+    heads = list(range(2, 2001)) + [1999]
+    with pytest.raises(StructureError, match="chain.*cyclic dependency heads"):
+        chain_facts(heads)
+
+
+def test_head_outside_the_sentence_is_reported_before_a_cycle():
+    with pytest.raises(StructureError, match="points outside the sentence"):
+        chain_facts([2, 1, 9])
+
+
 def test_upos_fallback_mapping():
     text = (
         "1\tdogs\tdog\tNOUN\t_\t_\t2\tnsubj\t_\t_\n"

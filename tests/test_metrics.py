@@ -1,9 +1,10 @@
 """Metric tests against independently written references.
 
 The brute-force reference below deliberately avoids the library's n-gram
-dicts: n-grams live in plain lists counted with list.count, and the LCS is a
-memoized recursion.  The Counter-slice reference further down is the
-previous implementation, kept to show that scores stay bit-identical.
+tables: n-grams live in plain lists counted with list.count, and the LCS is a
+memoized recursion.  The Counter-slice reference further down counts each
+side's n-grams in its own Counter and takes the min-sum, in the arithmetic
+order the scores must keep, so it shows that they stay bit-identical.
 """
 
 import math
@@ -11,6 +12,7 @@ import random
 from collections import Counter
 from functools import lru_cache
 
+from gfgen import metrics
 from gfgen.corpus_eval import regenerate
 from gfgen.ingest import parse_conllu_file
 from gfgen.metrics import bleu3, is_bleu_assessable, rouge, tokenize
@@ -187,6 +189,52 @@ def test_rouge1_monotone_under_matched_extension():
         tail = [rng.choice(vocab)]
         after = rouge(hyp + tail, ref + tail)[0]
         assert after >= before - 1e-12
+
+
+def counted_tables(monkeypatch):
+    """The order of every count table the scores build, by wrapping ``metrics._overlap``."""
+    orders = []
+    overlap = metrics._overlap
+
+    def counted(hypothesis, reference, n):
+        orders.append(n)
+        return overlap(hypothesis, reference, n)
+
+    monkeypatch.setattr(metrics, "_overlap", counted)
+    return orders
+
+
+def test_rouge_builds_two_count_tables_per_pair(monkeypatch):
+    orders = counted_tables(monkeypatch)
+    for hyp_text, ref_text in FIXTURE_PAIRS:
+        hyp, ref = hyp_text.split(), ref_text.split()
+        orders.clear()
+        rouge(hyp, ref)
+        # an order longer than either side has no n-grams, and no table
+        assert orders == [n for n in (1, 2) if min(len(hyp), len(ref)) >= n], (hyp_text, ref_text)
+
+
+def test_bleu3_builds_a_table_per_order_up_to_the_first_zero_overlap(monkeypatch):
+    orders = counted_tables(monkeypatch)
+    cases = [
+        ("a b c", "x y z", [1]),  # no shared unigram
+        ("x y", "y x", [1, 2]),  # no shared bigram
+        ("a b x c d", "a b y c d", [1, 2, 3]),  # no shared trigram
+        ("a b c d e f", "a b c x e f", [1, 2, 3]),
+        ("x", "x", [1]),  # one token has no bigram: no table for order 2
+        ("", "a b", []),
+    ]
+    for hyp_text, ref_text, expected in cases:
+        orders.clear()
+        bleu3(hyp_text.split(), ref_text.split())
+        assert orders == expected, (hyp_text, ref_text)
+    for hyp_text, ref_text in FIXTURE_PAIRS:
+        hyp, ref = hyp_text.split(), ref_text.split()
+        zeros = [n for n in (1, 2, 3) if bf_precision(hyp, ref, n) == 0.0]
+        last = zeros[0] if zeros else 3
+        orders.clear()
+        bleu3(hyp, ref)
+        assert orders == [n for n in range(1, last + 1) if len(hyp) >= n], (hyp_text, ref_text)
 
 
 def test_tokenize():

@@ -201,6 +201,10 @@ def test_parse_atoms_reads_a_quoted_argument_as_one_symbol(people_annotations):
     assert verbalize_atoms(atoms[:2], people_annotations) == (
         "Kevin, Jr. has_pets flossie. Kevin has_pets flossie."
     )
+    # \n is clingo's newline escape; an escaped backslash before an n stays a backslash
+    atoms = parse_atoms('has_pet("Kevin\\nJr", flossie).\np("a\\\\nb").\n')
+    assert atoms == [GroundAtom("has_pet", ("Kevin\nJr", "flossie")), GroundAtom("p", ("a\\nb",))]
+    assert verbalize_atoms(atoms[:1], people_annotations) == "Kevin Jr has_pets flossie."
     for text in ['p(a).\nhas_pet("Kevin, flossie).\n', 'p(a).\nhas_pet("Kevin" "Jr", flossie).\n']:
         with pytest.raises(ValueError, match="^line 2: not a fact"):
             parse_atoms(text)
