@@ -179,6 +179,8 @@ def _cmd_verbalize(args):
                 print(sentence)
     except verbalizer.MissingAnnotations as exc:
         raise CommandError(exc.args[0])
+    except verbalizer.AnnotationError as exc:  # a fact needs an annotation that failed
+        raise CommandError("%s: %s" % (args.annotations, exc))
     return 0
 
 

@@ -173,88 +173,6 @@ class GfGrammar:
         return [fun.name for fun in self.functions]
 
 
-# --- constructor signature table ---------------------------------------------
-
-STR = "Str"
-
-SIGNATURES = {
-    "mkCl": [(("NP", "VP"), "Cl"), (("NP", "AP"), "Cl"), (("NP", "NP"), "Cl")],
-    "mkVP": [
-        (("V2", "NP"), "VP"),
-        (("V",), "VP"),
-        (("VV", "VP"), "VP"),
-        (("VP", "Adv"), "VP"),
-    ],
-    "passiveVP": [(("V2",), "VP")],
-    "mkNP": [
-        (("N",), "NP"),
-        (("CN",), "NP"),
-        (("NP", "Adv"), "NP"),
-        (("Conj", "ListNP"), "NP"),
-    ],
-    "mkCN": [(("N",), "CN"), (("AP", "N"), "CN"), (("AP", "CN"), "CN")],
-    "mkAP": [(("A",), "AP"), (("AdA", "AP"), "AP")],
-    "mkAdv": [((STR,), "Adv"), (("Prep", "NP"), "Adv")],
-    "ConstructorsEng.mkAdv": [(("Prep", "NP"), "Adv")],
-    "mkListNP": [(("NP", "NP"), "ListNP"), (("NP", "ListNP"), "ListNP")],
-    "mkN": [((STR,), "N"), ((STR, STR), "N")],
-    "mkA": [((STR,), "A")],
-    "mkV": [((STR,), "V")],
-    "mkV2": [((STR,), "V2")],
-    "mkVV": [((STR,), "VV")],
-    "mkAdA": [((STR,), "AdA")],
-    "mkPrep": [((STR,), "Prep")],
-    "mkConj": [((STR,), "Conj")],
-}
-
-AMBIENT_SUFFIX_CATS = {"Prep": "Prep", "Conj": "Conj"}
-
-
-def ambient_category(name):
-    """Library-provided opers we reference but never define (with_Prep, and_Conj)."""
-    for suffix, cat in AMBIENT_SUFFIX_CATS.items():
-        if name.endswith("_" + suffix):
-            return cat
-    return None
-
-
-class GfTypeError(TypeError):
-    pass
-
-
-def infer_category(expr, opers=None, funs=None, args=None):
-    """Category of a constructor expression; raises GfTypeError on mismatch."""
-    opers = opers or {}
-    funs = funs or {}
-    args = args or {}
-    if isinstance(expr, Lit):
-        return STR
-    if isinstance(expr, Ref):
-        if expr.kind == "arg":
-            if expr.name not in args:
-                raise GfTypeError("unbound argument %s" % expr.name)
-            return args[expr.name]
-        if expr.kind == "oper":
-            if expr.name in opers:
-                return opers[expr.name].category
-            cat = ambient_category(expr.name)
-            if cat is None:
-                raise GfTypeError("dangling oper reference %s" % expr.name)
-            return cat
-        if expr.name not in funs:
-            raise GfTypeError("dangling function reference %s" % expr.name)
-        return funs[expr.name]
-    if isinstance(expr, App):
-        if expr.fn not in SIGNATURES:
-            raise GfTypeError("unknown constructor %s" % expr.fn)
-        got = tuple(infer_category(a, opers, funs, args) for a in expr.args)
-        for inputs, output in SIGNATURES[expr.fn]:
-            if inputs == got:
-                return output
-        raise GfTypeError("no signature of %s accepts %s" % (expr.fn, got))
-    raise GfTypeError("not an expression: %r" % (expr,))
-
-
 def expr_refs(expr, kind):
     """Names of the references of ``kind`` ("oper", "fun" or "arg") in ``expr``, in order."""
     if isinstance(expr, Ref):

@@ -88,8 +88,10 @@ class SentenceFacts:
                     "sentence %r: dependency %s points outside the sentence"
                     % (self.sentence_id, dep)
                 )
-            # a token may carry several incoming labels only in malformed input
-            parent.setdefault(dep.dependent, dep.head)
+            if parent.setdefault(dep.dependent, dep.head) != dep.head:
+                raise StructureError(
+                    "sentence %r: token %d has two heads" % (self.sentence_id, dep.dependent)
+                )
         # each token is walked once, by the walk from the first start that reaches
         # it; a walk that stops at an earlier walk's token has reached a root,
         # one that stops at its own token has a cycle

@@ -7,9 +7,13 @@ node metadata (default singular); copulas, "to" and list commas are the only
 inserted material.  Output is verbatim lexeme text: no capitalization, no
 articles, single spaces.
 
-Phrase values are immutable named tuples.  One rule table, ``_RULES``, keyed
-by constructor and the exact types of the argument values, realizes every
-node, so two value types with equal fields never stand in for each other.
+Phrase values are immutable named tuples, one type per category
+(``VALUE_TYPES``).  One table, ``CONSTRUCTORS``, states each constructor
+signature of the subset once, with its realization.  From it come
+``_RULES``, keyed by constructor and the exact types of the argument values,
+which realizes every node by one lookup, so two value types with equal
+fields never stand in for each other; and ``SIGNATURES``, against which
+``infer_category`` type-checks an expression.
 One evaluator, ``_value``, reads any grammar, a fragment or a merge, and
 looks argument references up in an environment.  A grammar keeps what is
 computed on first use in a table made on its first call: an oper's value
@@ -35,12 +39,14 @@ entry is computed from immutable definitions alone, so a race only recomputes it
 from typing import NamedTuple
 
 from . import morph
-from .encoder import App, Lit, LookupError_, Ref, ambient_category
+from .encoder import App, Lit, LookupError_, Ref
 from .morph import inflect_verb_3sg, pluralize_noun  # re-exported realizer surface
 
 __all__ = [
     "linearize",
     "linearize_expr",
+    "infer_category",
+    "GfTypeError",
     "inflect_verb_3sg",
     "pluralize_noun",
     "LookupError_",
@@ -57,38 +63,12 @@ class NPv(NamedTuple):
     number: str  # "sg" | "pl"
 
 
-class Nv(NamedTuple):
-    singular: str
-    plural: str
-
-
-class CNv(NamedTuple):
-    singular: str
-    plural: str
-
-
-class Av(NamedTuple):
-    text: str
-
-
-class APv(NamedTuple):
-    text: str
-
-
-class AdAv(NamedTuple):
-    text: str
-
-
-class Advv(NamedTuple):
-    text: str
-
-
-class Prepv(NamedTuple):
-    text: str
-
-
-class Conjv(NamedTuple):
-    text: str
+# Categories whose values have equal fields still get a type each, so that a
+# value of one never stands in for a value of another.
+Nv, CNv = (NamedTuple(name, [("singular", str), ("plural", str)]) for name in ("Nv", "CNv"))
+Av, APv, AdAv, Advv, Prepv, Conjv = (
+    NamedTuple(name, [("text", str)]) for name in ("Av", "APv", "AdAv", "Advv", "Prepv", "Conjv")
+)
 
 
 class ListNPv(NamedTuple):
@@ -116,16 +96,7 @@ class VerbLex(NamedTuple):
         return (head + "_" if head else "") + morph.past_participle(last)
 
 
-class V2v(NamedTuple):
-    verb: VerbLex
-
-
-class Vv(NamedTuple):
-    verb: VerbLex
-
-
-class VVv(NamedTuple):
-    verb: VerbLex
+V2v, Vv, VVv = (NamedTuple(name, [("verb", VerbLex)]) for name in ("V2v", "Vv", "VVv"))
 
 
 class VPv(NamedTuple):
@@ -173,75 +144,155 @@ def _conj_join(items, word):
     return ", ".join(items[:-1]) + " " + word + " " + items[-1]
 
 
-_VERBS = {"mkV2": V2v, "mkV": Vv, "mkVV": VVv}
+class GfTypeError(TypeError):
+    """An ill-typed constructor expression: a dangling reference, or categories no signature fits."""
 
-# (constructor, *argument value types) -> realization(node, *values); a
-# literal's value is its str
-_RULES = {
-    ("mkCl", NPv, VPv): lambda node, subj, pred: _join([subj.text, pred.realize(subj.number)]),
-    **dict.fromkeys(
-        [("mkCl", NPv, APv), ("mkCl", NPv, NPv)],
-        lambda node, subj, pred: _join([subj.text, _be(subj.number), pred.text]),
-    ),
-    ("mkVP", V2v, NPv): lambda node, v, obj: VPv("v2", v.verb, obj),
-    ("mkVP", Vv): lambda node, v: VPv("v", v.verb),
-    ("mkVP", VVv, VPv): lambda node, v, inner: VPv("vv", v.verb, inner=inner),
-    ("mkVP", VPv, Advv): lambda node, vp, adv: vp._replace(advs=vp.advs + (adv.text,)),
-    ("passiveVP", V2v): lambda node, v: VPv("passive", v.verb),
-    **dict.fromkeys(
-        [("mkNP", Nv), ("mkNP", CNv)],
-        lambda node, noun: NPv(
-            noun.plural if node.num == "pl" else noun.singular, node.num or "sg"
-        ),
-    ),
-    ("mkNP", NPv, Advv): lambda node, np, adv: NPv(_join([np.text, adv.text]), np.number),
-    ("mkNP", Conjv, ListNPv): lambda node, conj, nps: NPv(
-        _conj_join([np.text for np in nps.items], conj.text), "pl"
-    ),
-    ("mkCN", Nv): lambda node, noun: CNv(noun.singular, noun.plural),
-    **dict.fromkeys(
-        [("mkCN", APv, Nv), ("mkCN", APv, CNv)],
-        lambda node, ap, noun: CNv(_join([ap.text, noun.singular]), _join([ap.text, noun.plural])),
-    ),
-    ("mkAP", Av): lambda node, a: APv(a.text),
-    ("mkAP", AdAv, APv): lambda node, ada, ap: APv(_join([ada.text, ap.text])),
-    ("mkAdv", str): lambda node, word: Advv(word),
-    ("mkAdv", Prepv, NPv): lambda node, prep, np: Advv(_join([prep.text, np.text])),
-    ("mkListNP", NPv, NPv): lambda node, first, second: ListNPv((first, second)),
-    ("mkListNP", NPv, ListNPv): lambda node, first, rest: ListNPv((first,) + rest.items),
-    ("mkN", str): lambda node, sg: Nv(sg, morph.pluralize_noun(sg)),
-    ("mkN", str, str): lambda node, sg, pl: Nv(sg, pl),
-    ("mkA", str): lambda node, word: Av(word),
-    ("mkAdA", str): lambda node, word: AdAv(word),
-    ("mkPrep", str): lambda node, word: Prepv(word),
-    ("mkConj", str): lambda node, word: Conjv(word),
-    **{
-        (fn, str): lambda node, lemma, cls=cls: cls(_verb_lex(lemma, node.forms))
-        for fn, cls in _VERBS.items()
-    },
+
+STR = "Str"
+
+# category -> the type of its values; a literal's value is its str.  A clause
+# (mkCl) realizes as its sentence, a str, and no constructor reads one.
+VALUE_TYPES = {
+    STR: str,
+    "N": Nv,
+    "CN": CNv,
+    "NP": NPv,
+    "ListNP": ListNPv,
+    "A": Av,
+    "AP": APv,
+    "AdA": AdAv,
+    "Adv": Advv,
+    "Prep": Prepv,
+    "Conj": Conjv,
+    "V": Vv,
+    "V2": V2v,
+    "VV": VVv,
+    "VP": VPv,
 }
-# the qualified name realizes as the plain one
-_RULES.update(
-    {("ConstructorsEng.mkAdv", *key[1:]): rule for key, rule in _RULES.items() if key[0] == "mkAdv"}
+
+
+def _copula(node, subj, pred):
+    return _join([subj.text, _be(subj.number), pred.text])
+
+
+def _noun_phrase(node, noun):
+    return NPv(noun.plural if node.num == "pl" else noun.singular, node.num or "sg")
+
+
+def _modified_noun(node, ap, noun):
+    return CNv(_join([ap.text, noun.singular]), _join([ap.text, noun.plural]))
+
+
+def _adverbial(node, prep, np):
+    return Advv(_join([prep.text, np.text]))
+
+
+# The constructor subset the encoder emits: (constructor, input categories,
+# output category, realization(node, *input values)).
+CONSTRUCTORS = (
+    ("mkCl", ("NP", "VP"), "Cl", lambda node, subj, pred: _join([subj.text, pred.realize(subj.number)])),
+    ("mkCl", ("NP", "AP"), "Cl", _copula),
+    ("mkCl", ("NP", "NP"), "Cl", _copula),
+    ("mkVP", ("V2", "NP"), "VP", lambda node, v, obj: VPv("v2", v.verb, obj)),
+    ("mkVP", ("V",), "VP", lambda node, v: VPv("v", v.verb)),
+    ("mkVP", ("VV", "VP"), "VP", lambda node, v, inner: VPv("vv", v.verb, inner=inner)),
+    ("mkVP", ("VP", "Adv"), "VP", lambda node, vp, adv: vp._replace(advs=vp.advs + (adv.text,))),
+    ("passiveVP", ("V2",), "VP", lambda node, v: VPv("passive", v.verb)),
+    ("mkNP", ("N",), "NP", _noun_phrase),
+    ("mkNP", ("CN",), "NP", _noun_phrase),
+    ("mkNP", ("NP", "Adv"), "NP", lambda node, np, adv: NPv(_join([np.text, adv.text]), np.number)),
+    (
+        "mkNP",
+        ("Conj", "ListNP"),
+        "NP",
+        lambda node, conj, nps: NPv(_conj_join([np.text for np in nps.items], conj.text), "pl"),
+    ),
+    ("mkCN", ("N",), "CN", lambda node, noun: CNv(noun.singular, noun.plural)),
+    ("mkCN", ("AP", "N"), "CN", _modified_noun),
+    ("mkCN", ("AP", "CN"), "CN", _modified_noun),
+    ("mkAP", ("A",), "AP", lambda node, a: APv(a.text)),
+    ("mkAP", ("AdA", "AP"), "AP", lambda node, ada, ap: APv(_join([ada.text, ap.text]))),
+    ("mkAdv", (STR,), "Adv", lambda node, word: Advv(word)),
+    ("mkAdv", ("Prep", "NP"), "Adv", _adverbial),
+    ("ConstructorsEng.mkAdv", ("Prep", "NP"), "Adv", _adverbial),
+    ("mkListNP", ("NP", "NP"), "ListNP", lambda node, first, second: ListNPv((first, second))),
+    ("mkListNP", ("NP", "ListNP"), "ListNP", lambda node, first, rest: ListNPv((first,) + rest.items)),
+    ("mkN", (STR,), "N", lambda node, sg: Nv(sg, morph.pluralize_noun(sg))),
+    ("mkN", (STR, STR), "N", lambda node, sg, pl: Nv(sg, pl)),
+    ("mkA", (STR,), "A", lambda node, word: Av(word)),
+    ("mkAdA", (STR,), "AdA", lambda node, word: AdAv(word)),
+    ("mkPrep", (STR,), "Prep", lambda node, word: Prepv(word)),
+    ("mkConj", (STR,), "Conj", lambda node, word: Conjv(word)),
+    ("mkV", (STR,), "V", lambda node, lemma: Vv(_verb_lex(lemma, node.forms))),
+    ("mkV2", (STR,), "V2", lambda node, lemma: V2v(_verb_lex(lemma, node.forms))),
+    ("mkVV", (STR,), "VV", lambda node, lemma: VVv(_verb_lex(lemma, node.forms))),
 )
+
+# (constructor, *input value types) -> realization, so a node realizes by one
+# lookup and two value types with equal fields never stand in for each other
+_RULES = {
+    (fn, *(VALUE_TYPES[cat] for cat in inputs)): rule for fn, inputs, _, rule in CONSTRUCTORS
+}
+
+# constructor -> [(input categories, output category)]
+SIGNATURES = {
+    fn: [(inputs, output) for other, inputs, output, _ in CONSTRUCTORS if other == fn]
+    for fn, *_ in CONSTRUCTORS
+}
 
 
 def _realize(node, values):
     rule = _RULES.get((node.fn, *map(type, values)))
     if rule is None:
-        if node.fn in _VERBS:
+        if node.fn in ("mkV", "mkV2", "mkVV"):
             raise RealizeTypeError("%s expects one string argument" % node.fn)
         types = tuple(map(type, values))
         raise RealizeTypeError("no realization of %s over %s" % (node.fn, types))
     return rule(node, *values)
 
 
+def ambient_category(name):
+    """Category of a library oper we reference but never define (with_Prep, and_Conj); else None."""
+    _, underscore, suffix = name.rpartition("_")
+    return suffix if underscore and suffix in ("Prep", "Conj") else None
+
+
 def _ambient_value(name):
     cat = ambient_category(name)
     if cat is None:
         raise LookupError_("unknown oper %s" % name)
-    word = name.rsplit("_", 1)[0].replace("_", " ")
-    return Prepv(word) if cat == "Prep" else Conjv(word)
+    return VALUE_TYPES[cat](name.rsplit("_", 1)[0].replace("_", " "))
+
+
+def infer_category(expr, opers=None, funs=None, args=None):
+    """Category of a constructor expression; raises GfTypeError on mismatch."""
+    opers = opers or {}
+    funs = funs or {}
+    args = args or {}
+    if isinstance(expr, Lit):
+        return STR
+    if isinstance(expr, Ref):
+        if expr.kind == "arg":
+            if expr.name not in args:
+                raise GfTypeError("unbound argument %s" % expr.name)
+            return args[expr.name]
+        if expr.kind == "oper":
+            if expr.name in opers:
+                return opers[expr.name].category
+            cat = ambient_category(expr.name)
+            if cat is None:
+                raise GfTypeError("dangling oper reference %s" % expr.name)
+            return cat
+        if expr.name not in funs:
+            raise GfTypeError("dangling function reference %s" % expr.name)
+        return funs[expr.name]
+    if isinstance(expr, App):
+        got = tuple(infer_category(a, opers, funs, args) for a in expr.args)
+        for inputs, output in SIGNATURES.get(expr.fn, ()):
+            if inputs == got:
+                return output
+        raise GfTypeError("no signature of %s accepts %s" % (expr.fn, got))
+    raise GfTypeError("not an expression: %r" % (expr,))
 
 
 def _value(expr, grammar, env, active=()):

@@ -32,7 +32,7 @@ RDF_TYPE_RELATIONS = {"rdf:type", "a"}
 
 
 class AnnotationError(ValueError):
-    """Malformed or unrecognizable annotation record."""
+    """Malformed annotation record, or the reason a well-formed one failed."""
 
 
 class MissingAnnotations(KeyError):
@@ -87,7 +87,10 @@ def _build_annotation(predicate, arity, sentence):
             "annotation for %s/%d must use slots $1..$%d exactly, found %s"
             % (predicate, arity, arity, list(slots) or "none")
         )
-    fragment = synthesize_sentence(facts)
+    try:
+        fragment = synthesize_sentence(facts)
+    except ValueError as exc:  # the encoder rejects the sentence
+        raise AnnotationError("annotation for %s/%d is not encodable: %s" % (predicate, arity, exc))
     if fragment is None:
         raise AnnotationError(
             "annotation sentence for %s/%d has no recognizable structure: %r"
@@ -105,27 +108,36 @@ def _build_annotation(predicate, arity, sentence):
 class Annotations(list):
     """Loaded annotations in file order, read-only, indexed by (predicate, arity).
 
+    ``failed`` maps the (predicate, arity) of each well-formed record that
+    failed to its reason, an ``AnnotationError`` naming the line; ``by_key``
+    holds it in place of an annotation, and a fact that needs it raises a copy.
     The last record of a (predicate, arity) wins.  Every mutator raises, so
     the index built here cannot go stale.
     """
 
-    def __init__(self, annotations=()):
+    def __init__(self, annotations=(), failed=()):
         super().__init__(annotations)
+        self.failed = dict(failed)
         self.by_key = {(a.predicate, a.arity): a for a in self}
+        self.by_key.update(self.failed)
 
     def _read_only(self, *args, **kwargs):
         raise TypeError("loaded annotations are read-only")
 
     def __reduce__(self):  # copy and pickle without the mutators
-        return Annotations, (list(self),)
+        return Annotations, (list(self), self.failed)
 
     __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
     append = extend = insert = pop = remove = clear = sort = reverse = _read_only
 
 
 def load_annotations(text):
-    """Parse annotation records (``predicate/arity<TAB>sentence`` per line) into ``Annotations``."""
-    annotations = []
+    """Parse annotation records (``predicate/arity<TAB>sentence`` per line) into ``Annotations``.
+
+    A malformed line raises ``AnnotationError``; a well-formed one whose
+    sentence fails to build is kept as failed and loading goes on.
+    """
+    annotations, failed = [], {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -140,8 +152,14 @@ def load_annotations(text):
             arity = int(arity_text)
         except ValueError:
             raise AnnotationError("line %d: non-integer arity %r" % (lineno, arity_text))
-        annotations.append(_build_annotation(predicate.strip(), arity, sentence.strip()))
-    return Annotations(annotations)
+        key = (predicate.strip(), arity)
+        try:
+            annotations.append(_build_annotation(*key, sentence.strip()))
+        except AnnotationError as exc:
+            failed[key] = AnnotationError("line %d: %s" % (lineno, exc))
+        else:
+            failed.pop(key, None)
+    return Annotations(annotations, failed)
 
 
 def _annotation_index(annotations):
@@ -151,6 +169,8 @@ def _annotation_index(annotations):
 
 
 def _sentence(annotation, args):
+    if type(annotation) is AnnotationError:  # a fresh copy, so no traceback piles up on it
+        raise AnnotationError(*annotation.args)
     symbols = [NPv(a.replace("_", " "), "sg") for a in args]
     text = linearize(annotation.grammar, annotation.function_name, args=symbols)
     return text[:1].upper() + text[1:]

@@ -10,10 +10,10 @@ import time
 from test_metrics import FIXTURE_PAIRS, bf_bleu3, bf_rouge_l, bf_rouge_n
 
 from gfgen.corpus_eval import regenerate, run_corpus
-from gfgen.encoder import infer_category, synthesize_sentence
+from gfgen.encoder import synthesize_sentence
 from gfgen.exporter import merge, render
 from gfgen.ingest import facts_to_text, parse_conllu_file
-from gfgen.linearizer import linearize
+from gfgen.linearizer import infer_category, linearize
 from gfgen.metrics import bleu3, is_bleu_assessable, rouge, tokenize
 from gfgen.structure import recognize, select
 from gfgen.verbalizer import load_annotations, parse_atoms, parse_triples, verbalize_atoms, verbalize_triples

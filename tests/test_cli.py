@@ -382,6 +382,13 @@ VERBALIZE_ERRORS = {
         "{annotations}: line 1: missing /arity in 'input'",
     ),
     "atom without annotation": (ANNOTATION, "--atoms", "likes(a, b).\n", "no annotation for: likes/2"),
+    "atom whose annotation failed": (
+        ANNOTATION + "zz/2\tquickly and or $1 $2\n",
+        "--atoms",
+        "input(a, b).\nzz(a, b).\n",
+        "{annotations}: line 2: annotation for zz/2 is not analyzable: "
+        "could not locate a verb in 'quickly and or $1 $2'",
+    ),
     "two-column triple": (
         ANNOTATION,
         "--triples",

@@ -18,7 +18,6 @@ from gfgen.encoder import (
     CategoryError,
     GfFunction,
     GfOper,
-    GfTypeError,
     GfGrammar,
     LookupError_,
     Lit,
@@ -34,7 +33,6 @@ from gfgen.encoder import (
     fragment_from_dict,
     fragment_to_dict,
     fun_ref,
-    infer_category,
     oper_ref,
     sanitize_ident,
     sentence_slots,
@@ -42,7 +40,7 @@ from gfgen.encoder import (
 )
 from gfgen.exporter import merge, render, render_expr
 from gfgen.ingest import DependencyFact, Token, parse_conllu, parse_conllu_file
-from gfgen.linearizer import linearize
+from gfgen.linearizer import GfTypeError, infer_category, linearize
 from gfgen.structure import SHAPES, StructureAtom, recognize, select
 
 GAME_LINE = (
@@ -278,7 +276,7 @@ def test_expr_refs_lists_one_kind_in_reading_order():
 
 
 def test_oper_closure_on_corpus(fixtures_dir):
-    from gfgen.encoder import ambient_category
+    from gfgen.linearizer import ambient_category
 
     for portal in ("people", "mathematics", "food_drink"):
         for facts in parse_conllu_file(
@@ -369,7 +367,7 @@ def test_number_metadata_on_plural_nps(board_game_facts):
 def test_rule_selection_unambiguous(board_game_facts):
     # at every noun-encoding step exactly one extended rule accepts the
     # category at hand, scanning the table top to bottom
-    from gfgen.encoder import SIGNATURES
+    from gfgen.linearizer import SIGNATURES
 
     fragment = synthesize_sentence(board_game_facts)
 

@@ -130,6 +130,19 @@ def test_head_outside_the_sentence_is_reported_before_a_cycle():
         chain_facts([2, 1, 9])
 
 
+@pytest.mark.parametrize("relation", ["dep", "amod", "nmod", "case", "det", "x"])
+def test_a_token_with_two_heads_is_rejected_whatever_its_labels(relation):
+    # token 3 hangs from token 1 and from token 2, which hangs from token 3; which
+    # edge a set of dependencies yields first follows the labels' hashes
+    tokens = tuple(Token(i, "w", "w", "nn") for i in (1, 2, 3))
+    deps = frozenset(
+        [DependencyFact(relation, 1, 3), DependencyFact("dep", 2, 3), DependencyFact("dep", 3, 2)]
+    )
+    with pytest.raises(StructureError) as exc:
+        SentenceFacts("twice", tokens, deps)
+    assert str(exc.value) == "sentence 'twice': token 3 has two heads"
+
+
 def test_upos_fallback_mapping():
     text = (
         "1\tdogs\tdog\tNOUN\t_\t_\t2\tnsubj\t_\t_\n"

@@ -5,8 +5,6 @@ from pathlib import Path
 import pytest
 
 from gfgen.encoder import (
-    SIGNATURES,
-    STR,
     GfFunction,
     GfOper,
     Lit,
@@ -24,6 +22,9 @@ from gfgen.exporter import GfGrammar, merge
 from gfgen.ingest import parse_conllu, parse_conllu_file
 from gfgen.linearizer import (
     _RULES,
+    GfTypeError,
+    SIGNATURES,
+    STR,
     AdAv,
     Advv,
     APv,
@@ -43,6 +44,7 @@ from gfgen.linearizer import (
     VVv,
     _MARK,
     _realize,
+    infer_category,
     inflect_verb_3sg,
     linearize,
     linearize_expr,
@@ -367,6 +369,25 @@ def test_every_constructor_signature_has_a_realization_rule():
     assert missing == []
 
 
+def test_every_realization_rule_has_a_constructor_signature():
+    categories = {value_type: cat for cat, value_type in CATEGORY_VALUES.items()}
+    unsigned = [
+        (fn, *types)
+        for fn, *types in _RULES
+        if tuple(categories[t] for t in types) not in [inputs for inputs, _ in SIGNATURES.get(fn, ())]
+    ]
+    assert unsigned == []
+    assert linearizer.VALUE_TYPES == CATEGORY_VALUES
+
+
+def test_qualified_mkAdv_over_a_string_is_ill_typed_and_unrealizable():
+    today = app("ConstructorsEng.mkAdv", Lit("today"))
+    with pytest.raises(GfTypeError):
+        infer_category(today)
+    with pytest.raises(RealizeTypeError):
+        linearize_expr(today, merge([]))
+
+
 READ = VerbLex("read")
 SAMPLE_VALUES = {
     str: "x",
@@ -386,6 +407,12 @@ SAMPLE_VALUES = {
     VPv: VPv(kind="v", verb=READ),
     VerbLex: READ,
 }
+
+
+def test_every_constructor_realizes_a_value_of_its_output_category():
+    for fn, inputs, output, rule in linearizer.CONSTRUCTORS:
+        value = rule(app(fn), *(SAMPLE_VALUES[CATEGORY_VALUES[cat]] for cat in inputs))
+        assert type(value) is CATEGORY_VALUES.get(output, str), (fn, inputs)
 
 
 @pytest.mark.parametrize("value", [v for v in SAMPLE_VALUES.values() if not isinstance(v, str)])

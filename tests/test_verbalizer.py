@@ -1,4 +1,5 @@
 import copy
+import pickle
 import random
 
 import pytest
@@ -55,13 +56,62 @@ def test_load_annotations_empty():
 
 
 def test_annotation_slot_mismatch():
+    annotations = load_annotations("input/2\tThe input of $1 is $3")
     with pytest.raises(AnnotationError, match="slots"):
-        load_annotations("input/2\tThe input of $1 is $3")
+        verbalize_atoms([GroundAtom("input", ("a", "b"))], annotations)
 
 
 def test_annotation_unrecognizable():
+    annotations = load_annotations("odd/1\t$1")
     with pytest.raises(AnnotationError):
-        load_annotations("odd/1\t$1")
+        verbalize_atoms([GroundAtom("odd", ("a",))], annotations)
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ("zz/2\tquickly and or $1 $2", "is not analyzable: could not locate a verb"),
+        ("zz/2\tThe input of $1 is $3", "must use slots $1..$2 exactly"),
+        ("zz/2\tThe board_game of $1 is the board game of $2", "is not encodable: conflicting definitions for oper"),
+    ],
+    ids=["template grammar", "slot check", "encoder"],
+)
+def test_a_failed_annotation_fails_only_the_facts_that_need_it(fixtures_dir, phylo_atoms, line, reason):
+    text = (fixtures_dir / "phylotastic_annotations.tsv").read_text(encoding="utf-8") + line + "\n"
+    annotations = load_annotations(text)
+    assert [a.predicate for a in annotations] == ["input", "output", "typeof"]
+    assert verbalize_atoms(phylo_atoms, annotations) == PHYLO_DESCRIPTION
+    message = "line 4: annotation for zz/2 "
+    for kept in (annotations, copy.deepcopy(annotations), pickle.loads(pickle.dumps(annotations))):
+        assert str(kept.failed[("zz", 2)]).startswith(message)
+        for _ in range(2):
+            with pytest.raises(AnnotationError) as exc:
+                verbalize_atoms(phylo_atoms + [GroundAtom("zz", ("a", "b"))], kept)
+            assert str(exc.value).startswith(message) and reason in str(exc.value)
+        with pytest.raises(AnnotationError, match="^line 4: "):
+            verbalize_triples([Triple("a", "zz", "b")], kept)
+
+
+def test_the_last_record_of_a_predicate_wins_failed_or_not():
+    good, bad = "p/1\t$1 reads books", "p/1\t$1"
+    atoms = [GroundAtom("p", ("Kevin",))]
+    assert verbalize_atoms(atoms, load_annotations(bad + "\n" + good)) == "Kevin reads books."
+    with pytest.raises(AnnotationError, match="^line 2: "):
+        verbalize_atoms(atoms, load_annotations(good + "\n" + bad))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("input\tThe input of $1 is $2", "line 1: missing /arity in 'input'"),
+        ("input/2 The input of $1 is $2", "line 1: expected predicate/arity<TAB>sentence"),
+        ("odd/1\t$1\ninput/two\tThe input of $1 is $2", "line 2: non-integer arity 'two'"),
+    ],
+)
+def test_a_malformed_annotation_line_stays_fatal(text, message):
+    with pytest.raises(AnnotationError) as exc:
+        load_annotations(text)
+    assert str(exc.value) == message
 
 
 def test_single_atom(phylo_annotations):
