@@ -110,7 +110,7 @@ def _read_fragment(path):
         data = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise CommandError("%s: %s" % (path, exc.strerror))
-    except ValueError as exc:  # bad JSON or bad UTF-8
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8 or nested too deep
         raise CommandError("%s: not JSON: %s" % (path, exc))
     try:
         return fragment_from_dict(data)

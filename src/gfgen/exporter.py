@@ -8,10 +8,13 @@ definitions collapse to one entry; collisions with different definitions are
 renamed with a numeric suffix chosen from the canonical ordering of the
 definitions themselves, so the result does not depend on fragment order.
 Only names that more than one source defines are rendered and compared.
+
+``merge`` groups the sources once, by one shape key, and does each group's
+work once; after naming, every function goes into one table keyed by its
+final name, which keeps the function's least place.
 """
 
 from collections import Counter, defaultdict
-from functools import partial
 from itertools import chain
 from operator import attrgetter
 
@@ -30,10 +33,11 @@ def render_expr(expr, parenthesized=False):
     """Render a constructor expression the way the emitted listings spell it.
 
     Inside parentheses a final bare oper reference keeps a trailing space;
-    argument and function references do not.
+    argument and function references do not.  A literal escapes ``\\`` and
+    ``"`` as GF string literals do.
     """
     if isinstance(expr, Lit):
-        return '"%s"' % expr.text
+        return '"%s"' % expr.text.replace("\\", "\\\\").replace('"', '\\"')
     if isinstance(expr, Ref):
         return expr.name
     parts = [expr.fn]
@@ -65,78 +69,14 @@ def _rename_expr(expr, renames):
     return renamed(expr)
 
 
-def _once(memo, fn, expr, *rest):
-    """``fn(expr, *rest)``, kept in one merge call's ``memo`` under (fn, id(expr), *rest).
-
-    The sources keep every expression alive for the call, and ``memo`` every result, so
-    no identity it keys is reused.
-    """
-    key = (fn, id(expr), *rest)
-    out = memo.get(key)
-    if out is None:
-        out = memo[key] = fn(expr, *rest)
-    return out
-
-
-def _function_key(name, bodies, keys, text, refs):
-    """Merge key of a fragment function: its own key plus those of the functions it reaches.
-
-    ``bodies`` maps each of the fragment's function names to (function, body
-    after oper renames); the own key is (argument categories, result,
-    rendered body), and ``keys`` memoizes the result.  ``text`` and ``refs``
-    render a body and list the functions it references.  Bodies that read
-    alike but reach different functions get different keys, so they get
-    different names.
-    """
-    if name not in keys:
-        keys[name] = None  # a cyclic reference contributes no key
-        fun, lin = bodies[name]
-        reached = tuple(
-            _function_key(ref, bodies, keys, text, refs) for ref in refs(lin) if ref in bodies
-        )
-        keys[name] = (fun.arg_cats, fun.result, text(lin), reached)
-    return keys[name]
-
-
-def _renamed_funs(lin, finals, refs, rename):
-    """``lin`` with each function reference renamed to its final name in ``finals``."""
-    renames = frozenset(
-        ((ref, "fun"), finals[ref]) for ref in refs(lin) if finals.get(ref, ref) != ref
-    )
-    return rename(lin, renames) if renames else lin
-
-
-def _built(fun, name, lin):
-    """``fun`` under ``name`` with body ``lin``: ``fun`` itself where neither changes."""
-    if name == fun.name and lin is fun.lin:
-        return fun
-    return GfFunction(name, fun.arg_names, fun.arg_cats, fun.result, lin)
-
-
 def _suffixed_oper_name(name, n):
     # keep the category suffix last: popular_A -> popular_2_A
     base, _, cat = name.rpartition("_")
-    if base:
-        return "%s_%d_%s" % (base, n, cat)
-    return "%s_%d" % (name, n)
+    return "%s_%d_%s" % (base, n, cat) if base else _suffixed_fun_name(name, n)
 
 
 def _suffixed_fun_name(name, n):
     return "%s_%d" % (name, n)
-
-
-class _Shape:
-    """The merge work of the sources of one shape, done once: see ``merge``.
-
-    ``colliding`` lists each colliding entry's (position, merge key) and
-    ``kept`` the positions of the other entries that stay; ``lins`` holds
-    each entry's body after the oper renames and, once ``merge`` has fixed
-    the names, after the function renames; ``keys`` holds the function keys
-    of ``_function_key``.  ``best`` is the least (sentence id, source index,
-    functions) among the shape's sources.
-    """
-
-    __slots__ = ("colliding", "kept", "lins", "keys", "best")
 
 
 def _name_variants(variants_by_name, taken, suffixed, order):
@@ -201,16 +141,26 @@ def merge(sources):
     When no name collides the result is the plain union.  Otherwise only a
     name that more than one source defines can collide, so only those
     definitions are rendered and keyed; every other keeps its name.  Each
-    piece of work is done once per distinct input it reads, in memos that
-    live for this call only.  Decoded fragments share their expression nodes
-    and opers, so each distinct body object is rendered, renamed and walked
-    for references once, and an oper name that every source gives one object
-    is not rendered at all.  A source's own work (its oper renames, function
-    keys and renamed bodies) is done once per shape: the identities of its
-    bodies and opers, its argument categories and results, and the names
-    that collide or that some body references.  The replicas of one
-    sentence differ only in their sentence function's name, so they share a
-    shape, and each adds no more than its entries.
+    piece of work is done once per distinct input it reads, in a memo that
+    lives for this call only.  Decoded fragments share their expression
+    nodes and opers, so each distinct body object is rendered, renamed and
+    walked for references once, and an oper name that every source gives one
+    object is not rendered at all.
+
+    The sources are grouped once, by all that their merge work reads: their
+    function names, masked to those that collide or that some body
+    references (all of them where a source defines a name twice), the
+    identities of their bodies, their argument categories and results, and
+    their opers.  The least (sentence id, index) member of a group does the
+    group's work: its oper renames, its first definitions and the keys of
+    its colliding names.  The replicas of one sentence differ only in their
+    sentence function's name, so they form one group, and each adds no more
+    than its entries.  Once names are fixed, every function goes into one
+    table under its final name, which keeps its least (sentence id,
+    position): a colliding name comes from its group's least member only, a
+    name that one source defines from that source.  Groups are visited in
+    the order of their least members, so where two alike definitions share
+    a place, the one from the source first in the list stays.
 
     Each function keeps the place (sentence id, position) that its source
     gives it, and the result lists functions in place order.  A merged
@@ -231,42 +181,44 @@ def merge(sources):
         functions, opers = union
         return GfGrammar(categories=categories, lincats=lincats, functions=functions, opers=opers)
 
-    # one pass: each source's function names, and the sources grouped by all
-    # else that their merge work reads: the identities of their bodies, their
-    # argument categories and results, and their opers
-    defined = []  # each source's function names, once per source
-    # group -> (its opers, its sources as (sentence id, index, names, twice, functions))
-    groups = {}
+    memo = {}  # (fn, id(expr), *rest) -> fn(expr, *rest); the sources keep each expr alive
+
+    def once(fn, expr, *rest):
+        key = (fn, id(expr), *rest)
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = fn(expr, *rest)
+        return out
+
+    # each source's function names and body identities, and the functions of each
+    # distinct tuple of bodies
+    defined, bodies, entries = [], {}, []
     for index, src in enumerate(sources):
-        sid, funs = src.sentence_id, src.functions
-        names = tuple(map(_NAME, funs))
-        distinct = set(names)
-        defined.extend(distinct)
-        group = (
-            tuple(map(id, map(_LIN, funs))),
-            tuple(map(_SIG, funs)),
-            tuple(src.opers),
-            tuple(map(id, src.opers.values())),
-        )
-        members = groups.get(group)
-        if members is None:
-            members = groups[group] = (src.opers, [])
-        members[1].append((sid, index, names, len(distinct) < len(names), funs))
+        names, ids = tuple(map(_NAME, src.functions)), tuple(map(id, map(_LIN, src.functions)))
+        bodies[ids] = src.functions
+        defined.extend(distinct := set(names))
+        entries.append((src.sentence_id, index, names, len(distinct) < len(names), ids, src))
     fun_variants = {name: {} for name, n in Counter(defined).items() if n > 1}
+    # a source's work reads a function name only where it collides or some body
+    # references it, so its shape key masks out every other name
+    referenced = (
+        ref for funs in bodies.values() for fun in funs for ref in once(expr_refs, fun.lin, "fun")
+    )
+    named = {name: name for name in chain(fun_variants, referenced)}
+    groups = {}  # shape key -> its sources' entries
+    for entry in entries:
+        _, _, names, twice, ids, src = entry
+        masked = names if twice else tuple(map(named.get, names))
+        opers = tuple(src.opers), tuple(map(id, src.opers.values()))
+        groups.setdefault((masked, ids, tuple(map(_SIG, src.functions)), opers), []).append(entry)
+
     oper_objects = defaultdict(dict)  # name -> {id: oper}, one entry per distinct object
-    for opers, _ in groups.values():
-        for name, oper in opers.items():
+    for members in groups.values():
+        for name, oper in members[0][5].opers.items():
             oper_objects[name][id(oper)] = oper
-
-    memo = {}  # see _once
-    text, rename = partial(_once, memo, render_expr), partial(_once, memo, _rename_expr)
-
-    def refs(expr):
-        return _once(memo, expr_refs, expr, "fun")
-
     # global, order-independent rename plan for colliding oper definitions
     oper_variants = {
-        name: dict.fromkeys(text(oper.definition) for oper in objects.values())
+        name: dict.fromkeys(once(render_expr, oper.definition) for oper in objects.values())
         for name, objects in oper_objects.items()
         if len(objects) > 1
     }
@@ -274,104 +226,78 @@ def merge(sources):
     # the names that some source's oper is renamed from
     split = {name for name, variants in oper_variants.items() if len(variants) > 1}
 
-    # a source's work reads a function name only where it collides or some
-    # body references it; within a group, its shape masks out every other name
-    referenced = (
-        ref for _, members in groups.values() for fun in members[0][4] for ref in refs(fun.lin)
-    )
-    named = {name: name for name in chain(fun_variants, referenced)}
-
-    def shape_of(names, funs, renames):
-        shape = _Shape()
-        bodies = {}  # a name defined twice keeps its first definition, as lookup does
-        for fun in funs:
-            if fun.name not in bodies:
-                bodies[fun.name] = (fun, rename(fun.lin, renames) if renames else fun.lin)
-        shape.keys, shape.colliding, stays = {}, [], {}
-        for i, name in enumerate(names):
-            if name in fun_variants:
-                key = _function_key(name, bodies, shape.keys, text, refs)
-                fun_variants[name][key] = None
-                shape.colliding.append((i, (name, key)))
-            else:
-                stays.setdefault(name, i)  # a name defined twice stays at its first position
-        shape.kept = list(stays.values())
-        shape.lins = [bodies[name][1] for name in names]
-        shape.best = None
-        return shape
-
-    # identical functions collapse to the entry with the least (sentence id,
-    # position), then source index, so fragment order cannot leak into the
-    # result; only that entry is renamed and built
-    shapes = []
-    collapsed = {}  # merge key -> least ((place, source index), function, shape, position)
-    kept = []  # (place, function, shape, position) of each other entry that stays
-    for opers, members in groups.values():
+    def group_work(least):
+        """A group's least entry, its first definitions as (function, body after oper
+        renames), and the keys of the functions that its colliding names reach."""
+        _, _, names, _, _, src = least
         renames = frozenset(
             ((name, "oper"), final)
-            for name in split.intersection(opers)
-            if (final := oper_variants[name][text(opers[name].definition)]) != name
+            for name in split.intersection(src.opers)
+            if (final := oper_variants[name][once(render_expr, src.opers[name].definition)]) != name
         )
-        by_names = {}
-        for sid, index, names, twice, funs in members:
-            # a source that defines a name twice is keyed by all its names
-            masked = names if twice else tuple(map(named.get, names))
-            shape = by_names.get(masked)
-            if shape is None:
-                shape = by_names[masked] = shape_of(names, funs, renames)
-                shapes.append(shape)
-            if shape.best is None or (sid, index) < shape.best[:2]:
-                shape.best = (sid, index, funs)
-            for i in shape.kept:
-                kept.append(((sid, i), funs[i], shape, i))
-        for shape in by_names.values():
-            sid, index, funs = shape.best
-            for i, key in shape.colliding:
-                rank = ((sid, i), index)
-                best = collapsed.get(key)
-                if best is None or rank < best[0]:
-                    collapsed[key] = (rank, funs[i], shape, i)
-    _name_variants(
-        fun_variants, set(defined), _suffixed_fun_name, lambda keys: sorted(keys, key=repr)
-    )
+        firsts, keys = {}, {}
+        for fun in src.functions:  # a name defined twice keeps its first definition
+            if fun.name not in firsts:
+                firsts[fun.name] = fun, once(_rename_expr, fun.lin, renames) if renames else fun.lin
 
-    for shape in shapes:
-        if shape.keys:  # else its sources have no colliding function to rename
-            finals = {
-                name: fun_variants[name][key]
-                for name, key in shape.keys.items()
-                if name in fun_variants
-            }
-            shape.lins = [_renamed_funs(lin, finals, refs, rename) for lin in shape.lins]
-    functions = [
-        (*place, _built(fun, fun_variants[name][key], shape.lins[i]))
-        for (name, key), ((place, _), fun, shape, i) in collapsed.items()
-    ]
-    functions += [(*place, _built(fun, fun.name, shape.lins[i])) for place, fun, shape, i in kept]
-    functions = _in_place_order(functions)
+        def key(name):
+            # (argument categories, result, rendered body) plus the keys of the functions
+            # the body reaches, so alike bodies that reach different functions differ
+            if name not in keys:
+                keys[name] = None  # a cyclic reference contributes no key
+                fun, lin = firsts[name]
+                reached = tuple(key(ref) for ref in once(expr_refs, lin, "fun") if ref in firsts)
+                keys[name] = (fun.arg_cats, fun.result, once(render_expr, lin), reached)
+            return keys[name]
 
-    final_opers = {}
+        for name in names:
+            if name in fun_variants:
+                fun_variants[name][key(name)] = None
+        return least, firsts, keys
+
+    # visited by least member, so where alike definitions share a place the first source's stays
+    work = sorted(group_work(min(members)) + (members,) for members in groups.values())
+    _name_variants(fun_variants, set(defined), _suffixed_fun_name, lambda k: sorted(k, key=repr))
+
+    placed = {}  # final name -> its least (sentence id, position, function)
+
+    def place(final, sid, i, fun, lin):
+        best = placed.get(final)
+        if best is None or (sid, i) < best[:2]:
+            if final != fun.name or lin is not fun.lin:
+                fun = GfFunction(final, fun.arg_names, fun.arg_cats, fun.result, lin)
+            placed[final] = (sid, i, fun)
+
+    for (sid, _, names, _, _, src), firsts, keys, members in work:
+        finals = {name: fun_variants[name][k] for name, k in keys.items() if name in fun_variants}
+        lins = []
+        for name in names:
+            lin = firsts[name][1]
+            refs = once(expr_refs, lin, "fun")
+            renames = frozenset(((r, "fun"), finals[r]) for r in refs if finals.get(r, r) != r)
+            lins.append(once(_rename_expr, lin, renames) if renames else lin)
+        for i, name in enumerate(names):  # a colliding name from the least member only
+            if name in finals:
+                place(finals[name], sid, i, src.functions[i], lins[i])
+        private = [i for i, name in enumerate(names) if name not in finals]
+        for member_sid, _, member_names, _, _, member in members:
+            for i in private:
+                place(member_names[i], member_sid, i, member.functions[i], lins[i])
+    functions = _in_place_order(placed.values())
+
+    final_opers = defaultdict(list)
     for name, objects in oper_objects.items():
         variants = oper_variants.get(name)
         for oper in objects.values():
-            final = variants[text(oper.definition)] if variants else name
-            final_opers.setdefault(final, []).append(oper)
+            final = variants[once(render_expr, oper.definition)] if variants else name
+            final_opers[final].append(oper)
     opers = {}
     for final, variants in final_opers.items():
-        first = variants[0]
-        if len(variants) == 1 and first.name == final:
-            opers[final] = first
-            continue
-        opers[final] = GfOper(
-            name=final,
-            category=first.category,
-            definition=App(
-                fn=first.definition.fn,
-                args=first.definition.args,
-                num=first.definition.num,
-                forms=_merge_forms([v.definition for v in variants]),
-            ),
-        )
+        oper = variants[0]
+        if len(variants) > 1 or oper.name != final:
+            forms = _merge_forms([v.definition for v in variants])
+            oper = GfOper(final, oper.category, oper.definition._replace(forms=forms))
+        opers[final] = oper
 
     return GfGrammar(categories=categories, lincats=lincats, functions=functions, opers=opers)
 

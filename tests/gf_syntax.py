@@ -9,7 +9,7 @@ import re
 
 IDENT = r"[A-Za-z][A-Za-z0-9_']*"
 QIDENT = r"%s(?:\.%s)?" % (IDENT, IDENT)
-STRING = r'"[^"]*"'
+STRING = r'"(?:[^"\\]|\\.)*"'  # a backslash escapes the next character
 TOKEN = re.compile(r"\(|\)|%s|%s" % (STRING, QIDENT))
 
 CAT_DECL = re.compile(r"^    %s ;$" % IDENT)

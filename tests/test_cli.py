@@ -71,6 +71,31 @@ def test_synthesize_export_linearize_pipeline(tmp_path, capsys, fixtures_dir):
     assert capsys.readouterr().out.strip() == "Bill plays popular board game with close friends."
 
 
+def test_quoted_lexeme_exports_to_valid_gf(tmp_path, capsys):
+    from gf_syntax import validate_abstract, validate_concrete
+
+    # "The 5" board sleeps.": the compound 5" holds a double quote
+    rows = [
+        ("1", "The", "the", "DET", "DT", "_", "3", "det", "_", "_"),
+        ("2", '5"', '5"', "NOUN", "NN", "_", "3", "compound", "_", "_"),
+        ("3", "board", "board", "NOUN", "NN", "_", "4", "nsubj", "_", "_"),
+        ("4", "sleeps", "sleep", "VERB", "VBZ", "_", "0", "root", "_", "_"),
+        ("5", ".", ".", "PUNCT", ".", "_", "4", "punct", "_", "_"),
+    ]
+    conllu = tmp_path / "board.conllu"
+    conllu.write_text("\n".join("\t".join(row) for row in rows) + "\n\n", encoding="utf-8")
+    outdir = tmp_path / "frags"
+    assert main(["synthesize", str(conllu), "-o", str(outdir)]) == 0
+    assert main(["export", str(outdir), "-o", str(tmp_path / "Board")]) == 0
+    concrete = (tmp_path / "BoardEng.gf").read_text(encoding="utf-8")
+    assert 'n5_board_N = mkN "5\\" board" "5\\" boards" ;' in concrete
+    validate_abstract((tmp_path / "Board.gf").read_text(encoding="utf-8"))
+    validate_concrete(concrete)
+    capsys.readouterr()
+    assert main(["linearize", "--grammar", str(outdir), "--fun", "sent_s1"]) == 0
+    assert capsys.readouterr().out.strip() == '5" board sleeps'
+
+
 def test_synthesize_skips_unrecognized(tmp_path, capsys, fixtures_dir):
     outdir = tmp_path / "frags"
     main(
@@ -224,6 +249,12 @@ def _fragment_text(lin, function=None, **fields):
 X_LIN = {"str": "x"}
 
 
+def _nested_fragment_text(depth):
+    """The JSON of fragment x whose body is ``depth`` mkNP applications around X_LIN."""
+    lin = '{"app": "mkNP", "args": [' * depth + json.dumps(X_LIN) + "]}" * depth
+    return _fragment_text("LIN").replace('"LIN"', lin)
+
+
 BAD_FRAGMENTS = {
     "list_num.json": (
         _fragment_text({"app": "mkNP", "args": [{"ref": "game_N", "kind": "oper"}], "num": ["pl"]}),
@@ -272,6 +303,12 @@ BAD_FRAGMENTS = {
     "number_str.json": (
         _fragment_text({"str": 3}),
         "not a fragment (ValueError: literal: expected str, got 3)",
+    ),
+    # nested past the JSON decoder's recursion limit, which used to print a traceback
+    "deep.json": (
+        _nested_fragment_text(600),
+        "not JSON: maximum recursion depth exceeded while decoding a JSON array"
+        " from a unicode string",
     ),
     "literal_oper.json": (
         _fragment_text(X_LIN, opers=[{"name": "x_N", "category": "N", "definition": X_LIN}]),

@@ -355,6 +355,7 @@ NOUN = app("mkNP", app("mkN", Lit("cow")))
 HORSE = app("mkNP", app("mkN", Lit("horse")))
 SAYS_X = app("mkCl", fun_ref("X"), fun_ref("X"))
 NP_X = app("mkNP", fun_ref("X"), fun_ref("X"))
+CLAUSE = app("mkCl", NOUN, HORSE)
 
 
 @pytest.mark.parametrize(
@@ -371,6 +372,12 @@ NP_X = app("mkNP", fun_ref("X"), fun_ref("X"))
             [("X", (), "NP", NOUN), ("X", (), "NP", HORSE), ("S", (), "Message", SAYS_X)],
             [("X", (), "NP", NOUN), ("Y", (), "NP", HORSE), ("T", (), "Message", SAYS_X)],
             [("Y", (), "NP", NOUN), ("Y", (), "NP", HORSE), ("U", (), "Message", SAYS_X)],
+        ],
+        # X is defined twice, and no body reads X, Y or Z, none of which collides: Z must
+        # keep its own body, horse
+        [
+            [("X", (), "NP", NOUN), ("X", (), "NP", HORSE), ("K", (), "Message", CLAUSE)],
+            [("Y", (), "NP", NOUN), ("Z", (), "NP", HORSE), ("K", (), "Message", CLAUSE)],
         ],
         # alike bodies under other categories
         [
@@ -391,6 +398,53 @@ def test_merge_reads_every_name_its_work_depends_on(fragments):
     for order in (shared, shared[::-1]):
         assert merge(order).functions == merge(unshared).functions
         assert render(merge(order), "G") == render(merge(unshared), "G")
+
+
+def test_alike_definitions_at_one_place_come_from_the_first_source():
+    # an argument name that the body does not read is no part of a function's key, so the
+    # two Ns collapse; both sit at ("s", 0), and of the two sources whose id is "s" the
+    # first in the list gives the kept one
+    def fragment(sid, arg):
+        g = GfGrammar(sentence_id=sid)
+        g.add_function(GfFunction("N", (arg,), ("NP",), "NP", NOUN))
+        g.add_function(GfFunction("S_" + arg, (), (), "Message", SAYS_X))
+        return g
+
+    first, second, third = fragment("t", "a"), fragment("s", "b"), fragment("s", "a")
+    third.functions = first.functions  # a replica of the first under another id
+    for order, arg in (([first, second, third], "b"), ([first, third, second], "a")):
+        assert merge(order).function("N").arg_names == (arg,)
+
+
+def test_merge_work_does_not_grow_with_replicas(fixtures_dir, monkeypatch):
+    # each distinct body is rendered and walked for references once per merge, however
+    # many replicas of a sentence share it
+    calls = {}
+    for name in ("render_expr", "expr_refs"):
+        monkeypatch.setattr(exporter, name, _counted(calls, name, getattr(exporter, name)))
+    replicas = [corpus_fragments(fixtures_dir, "_r%d" % n) for n in range(8)]
+    counts = []
+    for scale in (2, 4, 8):
+        fragments = decoded([f for replica in replicas[:scale] for f in replica])
+        calls.clear()
+        merge(fragments)
+        counts.append(dict(calls))
+    assert counts[0]["render_expr"] and counts[0]["expr_refs"]
+    assert counts[0] == counts[1] == counts[2]
+
+
+def _counted(calls, name, fn):
+    """``fn``, counting in ``calls[name]`` each call made through the attribute it replaces.
+
+    ``render_expr`` recurses through that attribute, so its count includes its recursive
+    calls; ``expr_refs`` recurses inside the encoder, so its count does not.
+    """
+
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    return counted
 
 
 def test_merge_twice_on_one_decoded_list_renders_alike(fixtures_dir):
