@@ -11,9 +11,9 @@ BLEU-3/ROUGE evaluation harness for round-tripped paragraphs.
 __version__ = "0.1.0"
 
 from .ingest import SentenceFacts, parse_conllu, parse_conllu_file, facts_to_text
-from .structure import StructureAtom, recognize, select
+from .structure import recognize, select
 from .components import main_components, complements, build_chunk
-from .encoder import synthesize_sentence, encode_sentence
+from .encoder import analyze, synthesize_sentence, encode_sentence
 from .exporter import GfGrammar, merge, render
 from .linearizer import linearize, inflect_verb_3sg, pluralize_noun
 from .verbalizer import load_annotations, verbalize_atoms, verbalize_triples
@@ -25,12 +25,12 @@ __all__ = [
     "parse_conllu",
     "parse_conllu_file",
     "facts_to_text",
-    "StructureAtom",
     "recognize",
     "select",
     "main_components",
     "complements",
     "build_chunk",
+    "analyze",
     "synthesize_sentence",
     "encode_sentence",
     "GfGrammar",

@@ -6,12 +6,11 @@ import sys
 from pathlib import Path
 
 from . import corpus_eval, engine, verbalizer
-from .components import build_chunk, main_components
-from .encoder import fragment_from_dict, fragment_to_dict, synthesize_sentence
+from .components import build_chunk
+from .encoder import analyze, fragment_from_dict, fragment_to_dict
 from .exporter import MergeConflict, merge, render
 from .ingest import ConlluError, StructureError, facts_to_text, parse_conllu_file
 from .linearizer import LookupError_, RealizeTypeError, linearize
-from .structure import recognize, select
 
 
 def _read_conllu(read, path):
@@ -32,30 +31,28 @@ def _cmd_ingest(args):
     return 0
 
 
-def _dump_structures(sentences, out):
-    for facts in sentences:
-        selected = select(recognize(facts))
-        if selected is None:
-            out.write("%s\tUNRECOGNIZED\n" % facts.sentence_id)
-        else:
-            out.write("%s\t%d\t%d\n" % (facts.sentence_id, selected.kind, selected.i_value))
+def _dump_structures(records, out):
+    for record in records:
+        s = record.selected
+        reading = "UNRECOGNIZED" if s is None else "%d\t%d" % (s.kind, s.i_value)
+        out.write("%s\t%s\n" % (record.facts.sentence_id, reading))
 
 
-def _dump_components(sentences, out):
+def _dump_components(records, out):
     report = []
-    for facts in sentences:
-        selected = select(recognize(facts))
-        entry = {"sentence_id": facts.sentence_id}
-        if selected is None:
-            entry["structure"] = None
-        else:
+    for record in records:
+        selected, roles = record.selected, record.roles
+        entry = {"sentence_id": record.facts.sentence_id, "structure": None}
+        if selected is not None:
             entry["structure"] = {"kind": selected.kind, "i_value": selected.i_value}
-            roles = main_components(facts, selected)
+        if roles is not None:
             entry["roles"] = roles.as_dict()
             entry["chunks"] = {
-                role: build_chunk(facts, index).to_dict()
+                role: build_chunk(record.facts, index).to_dict()
                 for role, index in roles.as_dict().items()
             }
+        if record.error is not None:
+            entry["error"] = str(record.error)
         report.append(entry)
     json.dump(report, out, indent=2, sort_keys=True)
     out.write("\n")
@@ -70,11 +67,12 @@ def _dump_models(sentences, out):
 
 def _cmd_synthesize(args):
     sentences = _read_conllu(parse_conllu_file, args.conllu)
+    records = map(analyze, sentences)  # lazy: --dump-models reads no record
     if args.dump_structures:
-        _dump_structures(sentences, sys.stdout)
+        _dump_structures(records, sys.stdout)
         return 0
     if args.dump_components:
-        _dump_components(sentences, sys.stdout)
+        _dump_components(records, sys.stdout)
         return 0
     if args.dump_models:
         _dump_models(sentences, sys.stdout)
@@ -82,18 +80,15 @@ def _cmd_synthesize(args):
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     written = 0
-    for facts in sentences:
-        try:
-            fragment = synthesize_sentence(facts)
-        except ValueError as exc:  # the encoder rejects the sentence
-            print("skip %s: not encodable: %s" % (facts.sentence_id, exc), file=sys.stderr)
+    for record in records:
+        sentence_id = record.facts.sentence_id
+        if record.fragment is None:
+            why = "not encodable: %s" % record.error if record.error else "structure unrecognized"
+            print("skip %s: %s" % (sentence_id, why), file=sys.stderr)
             continue
-        if fragment is None:
-            print("skip %s: structure unrecognized" % facts.sentence_id, file=sys.stderr)
-            continue
-        path = outdir / ("frag_%s.json" % facts.sentence_id)
+        path = outdir / ("frag_%s.json" % sentence_id)
         path.write_text(
-            json.dumps(fragment_to_dict(fragment), indent=2, sort_keys=True) + "\n",
+            json.dumps(fragment_to_dict(record.fragment), indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
         )
         written += 1

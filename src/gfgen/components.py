@@ -105,19 +105,18 @@ def _prefer_root(facts, candidates, anchor_role):
 
 
 def main_components(facts, selected):
-    """Role assignment for the selected structure.
+    """Role assignment for the selected reading, a row of ``engine.CLAUSE_SHAPES``.
 
     The sentence model holds the roles of every body that matched; those of
     the first matching body of the clause shape are kept.  The copular
     structure resolves its trailing component by tag: jj becomes an
     adjectival predicate, nn/nns/cd a nominal one; anything else is rejected.
     """
-    shape = selected.shape
-    rows = [a.args[1:] for a in facts.model.derived_with("roles") if a.args[0] == shape.kind]
+    rows = [a.args[1:] for a in facts.model.derived_with("roles") if a.args[0] == selected.kind]
     first = min((row[0] for row in rows), default=None)
-    names = sorted(shape.roles)
+    names = sorted(selected.roles)
     cands = [dict(zip(names, row[1:])) for row in rows if row[0] == first]
-    chosen = _prefer_root(facts, cands, shape.anchor)
+    chosen = _prefer_root(facts, cands, selected.anchor)
     if selected.kind == 4:
         head_tag = facts.pos(chosen["obj"])
         if head_tag == "jj":

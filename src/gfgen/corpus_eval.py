@@ -2,9 +2,10 @@
 
 A corpus directory holds one subdirectory per portal; each portal contains
 CoNLL-U files whose sentence blocks carry the original sentence in a
-``# text`` comment.  Every sentence is synthesized and linearized back to
-English; BLEU-3 averages over the BLEU-assessable sentences and ROUGE over
-the sentences that were recognized and encoded.
+``# text`` comment.  Every sentence is analyzed (``encoder.analyze``) and its
+fragment linearized back to English; BLEU-3 averages over the BLEU-assessable
+sentences and ROUGE over the sentences that were recognized and encoded.
+A ``.txt`` file with no parse beside it is a sentence counted unrecognized.
 """
 
 import csv
@@ -12,8 +13,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .encoder import sanitize_ident, synthesize_sentence
-from .ingest import parse_conllu_file
+from .encoder import analyze, sentence_function
+from .ingest import ConlluError, parse_conllu_file
 from .linearizer import linearize
 from .metrics import bleu3, is_bleu_assessable, rouge, tokenize
 
@@ -38,37 +39,23 @@ class SentenceResult:
     recognized: bool = False
 
 
-def _linearized(fragment):
-    return linearize(fragment, "sent_" + sanitize_ident(fragment.sentence_id))
-
-
-def regenerate(facts):
-    """Synthesize one sentence and linearize it back; None when impossible."""
-    fragment = synthesize_sentence(facts)
-    return None if fragment is None else _linearized(fragment)
-
-
 def evaluate_sentences(sentences, warn=None):
     """Per-sentence round-trip results for parsed sentences.
 
-    A sentence the encoder rejects (an unsupported tag or category, or two
-    conflicting definitions of one oper) counts as recognized but not encodable.
+    A sentence that role assignment or the encoder rejects (an unsupported
+    tag or category, or two conflicting definitions of one oper) counts as
+    recognized but not encodable.
     """
     results = []
     for facts in sentences:
-        result = SentenceResult(sentence_id=facts.sentence_id, reference=facts.source_text)
-        try:
-            fragment = synthesize_sentence(facts)
-        except ValueError as exc:
-            if warn:
-                warn("sentence %s not encodable: %s" % (facts.sentence_id, exc))
-            result.recognized = True
-        else:
-            if fragment is not None:
-                result.recognized = True
-                result.hypothesis = _linearized(fragment)
-            elif warn:
-                warn("sentence %s unrecognized" % facts.sentence_id)
+        record = analyze(facts)
+        recognized = record.selected is not None
+        result = SentenceResult(facts.sentence_id, facts.source_text, recognized=recognized)
+        if record.fragment is not None:
+            result.hypothesis = linearize(record.fragment, sentence_function(facts.sentence_id))
+        elif warn:
+            why = "not encodable: %s" % record.error if record.error else "unrecognized"
+            warn("sentence %s %s" % (facts.sentence_id, why))
         results.append(result)
     return results
 
@@ -108,13 +95,12 @@ def run_corpus(corpus_dir, warn=None):
         parsed_stems = {p.stem for p in parses}
         for stray in sorted(portal_dir.glob("*.txt")):
             if stray.stem not in parsed_stems:
+                try:
+                    reference = stray.read_text(encoding="utf-8").strip()
+                except UnicodeDecodeError as exc:  # named as parse_conllu_file names it
+                    raise ConlluError("%s: %s" % (stray, exc)) from None
                 warn("missing parse file for %s" % stray.name)
-                results.append(
-                    SentenceResult(
-                        sentence_id=stray.stem,
-                        reference=stray.read_text(encoding="utf-8").strip(),
-                    )
-                )
+                results.append(SentenceResult(stray.stem, reference))
         for parse_file in parses:
             results.extend(evaluate_sentences(parse_conllu_file(parse_file), warn=warn))
         out[portal_dir.name] = _portal_scores(portal_dir.name, results)

@@ -3,6 +3,9 @@
 A fragment is a ``GfGrammar``, the one grammar type: a merge of fragments is
 another, and one sentence linearizes from its fragment without a merge.
 
+``analyze`` alone runs a sentence through recognition, role assignment and
+encoding, in that order; every caller reads its ``SentenceRecord``.
+
 Each main component becomes a zero-argument abstract function (named by its
 capitalized head lemma) over a category mirroring its concrete type, and the
 sentence itself becomes a zero-argument Message function whose linearization
@@ -403,7 +406,6 @@ def encode_sentence(facts, selected, roles, slots=()):
     positions (template synthesis); plain corpus sentences leave it empty and
     get a closed zero-argument Message function.
     """
-    shape = selected.shape
     grammar = GfGrammar(sentence_id=facts.sentence_id, source_text=facts.source_text)
     used = set()
     refs = {"sub": _nominal_fun(facts, roles.sub, grammar, used)}
@@ -412,21 +414,26 @@ def encode_sentence(facts, selected, roles, slots=()):
     if roles.adj is not None:  # the copula's adjectival complement fills the obj leaf
         expr, _ = encode_ap(facts, build_chunk(facts, roles.adj), grammar, materialize=False)
         refs["obj"] = _component_fun(facts, roles.adj, "AP", expr, grammar, used)
-    for role, cat in shape.verbs.items():
+    for role, cat in selected.verbs.items():
         index = getattr(roles, role)
         verb = oper_ref(_verb_oper(facts, index, cat, grammar))
         refs[role] = _component_fun(facts, index, cat, verb, grammar, used)
 
     arg_names = tuple("a%d" % n for n in slots)
     sent_fun = GfFunction(
-        name="sent_" + sanitize_ident(facts.sentence_id),
+        name=sentence_function(facts.sentence_id),
         arg_names=arg_names,
         arg_cats=tuple("NP" for _ in slots),
         result="Message",
-        lin=encode_skeleton(facts, shape.skeleton, roles, refs, grammar),
+        lin=encode_skeleton(facts, selected.skeleton, roles, refs, grammar),
     )
     grammar.add_function(sent_fun)
     return grammar
+
+
+def sentence_function(sentence_id):
+    """The name of a sentence's Message function."""
+    return "sent_" + sanitize_ident(sentence_id)
 
 
 def sentence_slots(facts):
@@ -439,13 +446,43 @@ def sentence_slots(facts):
     return tuple(sorted(slots))
 
 
-def synthesize_sentence(facts):
-    """Full pipeline for one sentence; None when the structure is unrecognized."""
+class SentenceRecord(NamedTuple):
+    """One sentence's analysis: its reading, roles and fragment, or why they stop.
+
+    ``selected`` is the ``engine.CLAUSE_SHAPES`` row chosen, None when the
+    sentence is unrecognized.  Otherwise ``error`` holds the ValueError that
+    role assignment (``roles`` is None) or encoding (``fragment`` is None)
+    rejected the sentence with.
+    """
+
+    facts: object
+    selected: object = None
+    roles: object = None
+    fragment: GfGrammar = None
+    error: ValueError = None
+
+
+def analyze(facts):
+    """The record of one sentence: recognition, role assignment and encoding, in order."""
     selected = select(recognize(facts))
     if selected is None:
-        return None
-    roles = main_components(facts, selected)
-    return encode_sentence(facts, selected, roles, slots=sentence_slots(facts))
+        return SentenceRecord(facts)
+    roles = None
+    try:
+        roles = main_components(facts, selected)
+        fragment = encode_sentence(facts, selected, roles, slots=sentence_slots(facts))
+    except ValueError as exc:
+        return SentenceRecord(facts, selected, roles, error=exc)
+    return SentenceRecord(facts, selected, roles, fragment)
+
+
+def synthesize_sentence(facts):
+    """The fragment of one sentence, or None when it is unrecognized; a sentence
+    that role assignment or the encoder rejects raises the rejecting ValueError."""
+    record = analyze(facts)
+    if record.error is not None:
+        raise record.error
+    return record.fragment
 
 
 # --- fragment (de)serialization -------------------------------------------------

@@ -13,7 +13,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .encoder import sanitize_ident, sentence_slots, synthesize_sentence
+from .encoder import analyze, sanitize_ident, sentence_function, sentence_slots
 from .exporter import merge  # noqa: F401  uncalled here; bench/run.py swaps it for a traced one
 from .linearizer import NPv, linearize
 from .template import TemplateError, parse_template
@@ -87,21 +87,22 @@ def _build_annotation(predicate, arity, sentence):
             "annotation for %s/%d must use slots $1..$%d exactly, found %s"
             % (predicate, arity, arity, list(slots) or "none")
         )
-    try:
-        fragment = synthesize_sentence(facts)
-    except ValueError as exc:  # the encoder rejects the sentence
-        raise AnnotationError("annotation for %s/%d is not encodable: %s" % (predicate, arity, exc))
-    if fragment is None:
+    record = analyze(facts)
+    if record.selected is None:
         raise AnnotationError(
             "annotation sentence for %s/%d has no recognizable structure: %r"
             % (predicate, arity, sentence)
+        )
+    if record.error is not None:
+        raise AnnotationError(
+            "annotation for %s/%d is not encodable: %s" % (predicate, arity, record.error)
         )
     return AtomAnnotation(
         predicate=predicate,
         arity=arity,
         template_sentence=sentence,
-        grammar=fragment,
-        function_name="sent_" + sanitize_ident(sentence_id),
+        grammar=record.fragment,
+        function_name=sentence_function(sentence_id),
     )
 
 

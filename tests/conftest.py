@@ -24,6 +24,16 @@ def board_game_facts():
     return parse_conllu_file(FIXTURES / "board_game.conllu")[0]
 
 
+def round_trip(facts):
+    """A sentence synthesized and linearized back, as ``gfgen eval`` does; None
+    when it is unrecognized.  A sentence the encoder rejects raises."""
+    from gfgen.encoder import sentence_function, synthesize_sentence
+    from gfgen.linearizer import linearize
+
+    fragment = synthesize_sentence(facts)
+    return None if fragment is None else linearize(fragment, sentence_function(facts.sentence_id))
+
+
 def build_people_grammar():
     """The two-listing People grammar, constructed as a grammar value.
 

@@ -9,7 +9,7 @@ import time
 
 from test_metrics import FIXTURE_PAIRS, bf_bleu3, bf_rouge_l, bf_rouge_n
 
-from gfgen.corpus_eval import regenerate, run_corpus
+from gfgen.corpus_eval import run_corpus
 from gfgen.encoder import synthesize_sentence
 from gfgen.exporter import merge, render
 from gfgen.ingest import facts_to_text, parse_conllu_file
@@ -18,7 +18,7 @@ from gfgen.metrics import bleu3, is_bleu_assessable, rouge, tokenize
 from gfgen.structure import recognize, select
 from gfgen.verbalizer import load_annotations, parse_atoms, parse_triples, verbalize_atoms, verbalize_triples
 
-from conftest import build_people_grammar
+from conftest import build_people_grammar, round_trip
 
 
 def _report(n, label):
@@ -187,7 +187,7 @@ def test_criterion_8_corpus_experiment(fixtures_dir):
                 args = dict(zip(fun.arg_names, fun.arg_cats))
                 assert infer_category(fun.lin, fragment.opers, funs, args) == expected
             # article/determiner-free subset property
-            hypothesis = regenerate(facts)
+            hypothesis = round_trip(facts)
             assert hypothesis is not None, facts.sentence_id
             assert set(tokenize(hypothesis)) <= set(tokenize(facts.source_text)), (
                 facts.sentence_id,

@@ -151,6 +151,45 @@ def test_synthesize_skips_a_sentence_with_conflicting_opers(tmp_path, capsys, fi
     ]
 
 
+# "Kevin is here.": role assignment rejects a copula whose complement is tagged rb
+RB_BLOCK = "\n".join(
+    [
+        "# sent_id = x1",
+        "# text = Kevin is here.",
+        "1\tKevin\tKevin\tPROPN\tNNP\t_\t3\tnsubj\t_\t_",
+        "2\tis\tbe\tAUX\tVBZ\t_\t3\tcop\t_\t_",
+        "3\there\there\tADV\tRB\t_\t0\troot\t_\t_",
+        "4\t.\t.\tPUNCT\t.\t_\t3\tpunct\t_\t_",
+    ]
+)
+RB_ERROR = "unsupported copular complement with tag 'rb'"
+
+
+def test_debug_views_of_a_sentence_without_roles(tmp_path, capsys):
+    path = tmp_path / "rb.conllu"
+    path.write_text(RB_BLOCK + "\n", encoding="utf-8")
+    assert main(["synthesize", str(path), "--dump-components"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out) == [
+        {"sentence_id": "x1", "structure": {"kind": 4, "i_value": 2}, "error": RB_ERROR}
+    ]
+    assert main(["synthesize", str(path), "--dump-structures"]) == 0
+    assert capsys.readouterr().out == "x1\t4\t2\n"
+
+
+def test_synthesize_skips_a_sentence_without_roles(tmp_path, capsys):
+    path = tmp_path / "rb.conllu"
+    path.write_text(RB_BLOCK + "\n", encoding="utf-8")
+    outdir = tmp_path / "frags"
+    assert main(["synthesize", str(path), "-o", str(outdir)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "skip x1: not encodable: " + RB_ERROR,
+        "wrote 0 fragment(s) to %s" % outdir,
+    ]
+    assert list(outdir.iterdir()) == []
+
+
 def test_eval_counts_a_sentence_with_conflicting_opers_as_not_encodable(
     tmp_path, capsys, fixtures_dir
 ):
@@ -593,4 +632,16 @@ def test_conllu_that_is_not_utf8_is_one_line_and_status_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("gfgen: %s: 'utf-8' codec can't decode byte 0xff" % path)
+    assert captured.err.count("\n") == 1
+
+
+def test_stray_text_that_is_not_utf8_is_one_line_and_status_1(tmp_path, capsys):
+    # a .txt without a .conllu beside it is a sentence whose parse is missing
+    stray = tmp_path / "corpus" / "people" / "x.txt"
+    stray.parent.mkdir(parents=True)
+    stray.write_bytes(b"\xff")
+    assert main(["eval", "--corpus", str(tmp_path / "corpus")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("gfgen: %s: 'utf-8' codec can't decode byte 0xff" % stray)
     assert captured.err.count("\n") == 1

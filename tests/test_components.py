@@ -9,7 +9,7 @@ from gfgen.components import (
     main_components,
 )
 from gfgen.ingest import parse_conllu, parse_conllu_file
-from gfgen.structure import StructureAtom, recognize, select
+from gfgen.structure import SHAPES, recognize, select
 
 
 def token_index(facts, surface):
@@ -20,7 +20,7 @@ def token_index(facts, surface):
 
 
 def test_bill_game_roles(bill_game_facts):
-    roles = main_components(bill_game_facts, StructureAtom(2, 2))
+    roles = main_components(bill_game_facts, SHAPES[2])
     assert roles.as_dict() == {"sub": 1, "verb": 2, "obj": 4}
 
 
@@ -29,7 +29,7 @@ def test_structure_one_roles():
         "1\tBill\tBill\tPROPN\tNNP\t_\t2\tnsubj\t_\t_\n"
         "2\tsleeps\tsleep\tVERB\tVBZ\t_\t0\troot\t_\t_\n"
     )
-    roles = main_components(facts, StructureAtom(1, 1))
+    roles = main_components(facts, SHAPES[1])
     assert roles.as_dict() == {"sub": 1, "verb": 2}
 
 
@@ -38,7 +38,7 @@ def test_copular_adjective_roles(fixtures_dir):
         f.sentence_id: f for f in parse_conllu_file(fixtures_dir / "structures.conllu")
     }
     cathy = sentences["s4_cathy"]
-    roles = main_components(cathy, StructureAtom(4, 2))
+    roles = main_components(cathy, SHAPES[4])
     assert roles.as_dict() == {"sub": 1, "adj": 3}
 
 
@@ -50,7 +50,7 @@ def test_unsupported_copular_complement():
     )
     assert (4, 2) in {(s.kind, s.i_value) for s in recognize(facts)}
     with pytest.raises(UnsupportedCopularComplement) as exc:
-        main_components(facts, StructureAtom(4, 2))
+        main_components(facts, SHAPES[4])
     assert exc.value.pos_tag == "rb"
 
 

@@ -3,9 +3,11 @@ import json
 import shutil
 import time
 
-from gfgen.corpus_eval import EvalScores, regenerate, run_corpus, write_report
+from gfgen.corpus_eval import EvalScores, run_corpus, write_report
 from gfgen.ingest import parse_conllu_file
 from gfgen.metrics import tokenize
+
+from conftest import round_trip
 
 
 def test_recognition_counts_match_schema(fixtures_dir):
@@ -30,7 +32,7 @@ def test_regenerated_tokens_subset_of_original(fixtures_dir):
         for facts in parse_conllu_file(
             fixtures_dir / "corpus" / portal / "sentences.conllu"
         ):
-            hypothesis = regenerate(facts)
+            hypothesis = round_trip(facts)
             if hypothesis is None:
                 continue
             assert set(tokenize(hypothesis)) <= set(tokenize(facts.source_text)), (
@@ -91,7 +93,7 @@ def test_regenerate_matches_reference_hypotheses(fixtures_dir):
     reference = fixtures_dir.parent / "bench" / "reference" / "hypotheses.json"
     expected = json.loads(reference.read_text(encoding="utf-8"))
     got = {
-        facts.sentence_id: regenerate(facts)
+        facts.sentence_id: round_trip(facts)
         for path in sorted((fixtures_dir / "corpus").glob("*/*.conllu"))
         for facts in parse_conllu_file(path)
     }

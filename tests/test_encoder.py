@@ -1,14 +1,17 @@
 import hashlib
 import json
 import re
+from collections import Counter
 
 import pytest
+from test_cli import PERSON_BLOCK, RB_BLOCK
 
 from gfgen.components import (
     Attachment,
     Chunk,
     ComplementAttachment,
     ComponentMap,
+    UnsupportedCopularComplement,
     build_chunk,
     main_components,
 )
@@ -22,6 +25,8 @@ from gfgen.encoder import (
     LookupError_,
     Lit,
     Ref,
+    SentenceRecord,
+    analyze,
     app,
     arg_ref,
     encode_np,
@@ -35,13 +40,14 @@ from gfgen.encoder import (
     fun_ref,
     oper_ref,
     sanitize_ident,
+    sentence_function,
     sentence_slots,
     synthesize_sentence,
 )
 from gfgen.exporter import merge, render, render_expr
 from gfgen.ingest import DependencyFact, Token, parse_conllu, parse_conllu_file
 from gfgen.linearizer import GfTypeError, infer_category, linearize
-from gfgen.structure import SHAPES, StructureAtom, recognize, select
+from gfgen.structure import SHAPES, recognize, select
 
 GAME_LINE = (
     "Game = mkNP (mkNP popular_board_game_CN ) "
@@ -111,9 +117,8 @@ def test_sentence_clauses_follow_their_skeleton(fixtures_dir):
                 check(arg, sub, cat)
 
         copular_role = "adj" if roles.adj is not None else "obj"
-        shape = selected.shape
-        check(sent.lin, shape.skeleton, skeleton_categories(shape, copular_role))
-        seen.add((shape.kind, copular_role if shape.kind == 4 else None))
+        check(sent.lin, selected.skeleton, skeleton_categories(selected, copular_role))
+        seen.add((selected.kind, copular_role if selected.kind == 4 else None))
     assert seen == {(1, None), (2, None), (3, None), (5, None), (4, "adj"), (4, "obj")}
 
 
@@ -160,7 +165,7 @@ def test_encode_np_rejects_non_nominal(bill_game_facts):
 
 def test_encode_vp_transitive(bill_game_facts):
     grammar = GfGrammar(sentence_id="t")
-    roles = main_components(bill_game_facts, StructureAtom(2, 2))
+    roles = main_components(bill_game_facts, SHAPES[2])
     refs = {
         "verb": oper_ref("play_V2"),
         "obj": encode_np(bill_game_facts, build_chunk(bill_game_facts, 4), grammar),
@@ -176,7 +181,7 @@ def test_encode_vp_adverb():
         "3\tquickly\tquickly\tADV\tRB\t_\t2\tadvmod\t_\t_\n"
     )
     grammar = GfGrammar(sentence_id="t")
-    roles = main_components(facts, StructureAtom(1, 1))
+    roles = main_components(facts, SHAPES[1])
     expr = encode_skeleton(facts, ("mkVP", "verb"), roles, {"verb": oper_ref("run_V")}, grammar)
     assert render_expr(expr) == "mkVP (mkVP run_V ) quickly_Adv"
     assert render_expr(grammar.opers["quickly_Adv"].definition) == 'mkAdv "quickly"'
@@ -232,6 +237,57 @@ def test_copular_sentence_encoding(fixtures_dir):
 def test_unrecognized_returns_none():
     (facts,) = parse_conllu("1\tGo\tgo\tVERB\tVB\t_\t0\troot\t_\t_\n")
     assert synthesize_sentence(facts) is None
+
+
+def _stages(facts):
+    """(selected, roles, fragment, error) from the stage functions called one by one."""
+    selected = select(recognize(facts))
+    if selected is None:
+        return None, None, None, None
+    try:
+        roles = main_components(facts, selected)
+    except ValueError as exc:
+        return selected, None, None, exc
+    try:
+        fragment = encode_sentence(facts, selected, roles, slots=sentence_slots(facts))
+    except ValueError as exc:
+        return selected, roles, None, exc
+    return selected, roles, fragment, None
+
+
+def test_analyze_agrees_with_the_stage_functions(fixtures_dir):
+    paths = [*sorted(fixtures_dir.glob("*.conllu")), *sorted(fixtures_dir.glob("corpus/*/*.conllu"))]
+    sentences = [f for path in paths for f in parse_conllu_file(path)]
+    sentences += parse_conllu(PERSON_BLOCK + "\n\n" + RB_BLOCK + "\n")
+    outcomes = Counter()
+    for facts in sentences:
+        record = analyze(facts)
+        selected, roles, fragment, error = _stages(facts)
+        assert record.facts is facts
+        assert record.selected is selected, facts.sentence_id
+        assert record.roles == roles, facts.sentence_id
+        assert (record.fragment is None) == (fragment is None), facts.sentence_id
+        if fragment is not None:
+            assert fragment_to_dict(record.fragment) == fragment_to_dict(fragment)
+            assert synthesize_sentence(facts) is not None
+        assert type(record.error) is type(error), facts.sentence_id
+        if error is not None:
+            assert str(record.error) == str(error)
+            with pytest.raises(type(error), match=re.escape(str(error))):
+                synthesize_sentence(facts)
+        outcomes[
+            "unrecognized" if selected is None
+            else "ok" if fragment is not None
+            else "roles" if roles is None
+            else "encoding"
+        ] += 1
+    assert outcomes == {"ok": 67, "unrecognized": 2, "roles": 1, "encoding": 1}
+    person, rb = sentences[-2:]
+    assert type(analyze(rb).error) is UnsupportedCopularComplement
+    assert analyze(rb).roles is None and analyze(rb).fragment is None
+    assert type(analyze(person).error) is ValueError
+    assert analyze(person).roles is not None and analyze(person).fragment is None
+    assert analyze(sentences[0]).fragment.function_names()[-1] == sentence_function("bill_game")
 
 
 def test_expr_typecheck_corpus(fixtures_dir):
@@ -405,7 +461,6 @@ PER_SENTENCE_RECORDS = [
     Token(1, "a", "a", "nn"),
     DependencyFact("nsubj", 2, 1),
     Atom("nsubj", (2, 1)),
-    StructureAtom(2, 2),
     ComplementAttachment("preposition", 1, 3, case_marker=2),
     Attachment("adj_mod", Chunk(2, "b")),
     Chunk(1, "a", attachments=(Attachment("adj_mod", Chunk(2, "b")),)),
@@ -415,6 +470,7 @@ PER_SENTENCE_RECORDS = [
     Lit("a"),
     GfOper("a_N", "N", app("mkN", Lit("a"))),
     GfFunction("f", ("a",), ("NP",), "Message", app("mkCl", arg_ref("a"), oper_ref("a_AP"))),
+    SentenceRecord(Lit("a"), SHAPES[2], ComponentMap(sub=1), None, ValueError("b")),
 ]
 
 

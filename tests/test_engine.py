@@ -12,7 +12,7 @@ from gfgen.components import (
 )
 from gfgen.engine import Atom, atom, derive, derive_family, is_variable
 from gfgen.ingest import parse_conllu, parse_conllu_file
-from gfgen.structure import StructureAtom, recognize
+from gfgen.structure import SHAPES, recognize
 
 
 def structures(model):
@@ -272,15 +272,14 @@ def _reference_roles(facts, reading):
     """Roles from the naive grounder over the first matching body of the
     reading's shape, then the root preference and the copular tag rule."""
     atoms = [atom(d.relation, d.head, d.dependent) for d in facts.deps]
-    shape = reading.shape
-    for body in shape.bodies:
+    for body in reading.bodies:
         cands = [
-            {role: subst[var] for role, var in shape.roles.items()}
+            {role: subst[var] for role, var in reading.roles.items()}
             for subst in _naive_bindings(atoms, body)
         ]
         if cands:
             break
-    chosen = _prefer_root(facts, cands, shape.anchor)
+    chosen = _prefer_root(facts, cands, reading.anchor)
     if reading.kind == 4:
         tag = facts.pos(chosen["obj"])
         if tag == "jj":
@@ -314,7 +313,7 @@ def test_roles_of_every_corpus_reading_equal_naive_bindings(fixtures_dir):
     (coordinated,) = parse_conllu(BOTH_INTRANSITIVE_BODIES)
     kinds = set()
     for facts in sentences + [coordinated]:
-        for reading in sorted(recognize(facts)):
+        for reading in sorted(recognize(facts), key=lambda s: s.kind):
             kinds.add(reading.kind)
             try:
                 expected = _reference_roles(facts, reading)
@@ -325,7 +324,7 @@ def test_roles_of_every_corpus_reading_equal_naive_bindings(fixtures_dir):
                 continue
             assert main_components(facts, reading) == expected, (facts.sentence_id, reading)
     assert kinds == {1, 2, 3, 4, 5}
-    assert main_components(coordinated, StructureAtom(1, 1)).as_dict() == {"sub": 5, "verb": 6}
+    assert main_components(coordinated, SHAPES[1]).as_dict() == {"sub": 5, "verb": 6}
 
 
 def test_model_to_text():

@@ -13,9 +13,10 @@ from collections import Counter
 from functools import lru_cache
 
 from gfgen import metrics
-from gfgen.corpus_eval import regenerate
 from gfgen.ingest import parse_conllu_file
 from gfgen.metrics import bleu3, is_bleu_assessable, rouge, tokenize
+
+from conftest import round_trip
 
 
 def bf_ngrams(tokens, n):
@@ -313,7 +314,7 @@ def test_scores_equal_counter_reference_on_corpus_pairs(fixtures_dir):
     pairs = 0
     for path in sorted((fixtures_dir / "corpus").glob("*/*.conllu")):
         for facts in parse_conllu_file(path):
-            hypothesis = regenerate(facts)
+            hypothesis = round_trip(facts)
             if hypothesis is not None:
                 assert_same_scores(tokenize(hypothesis), tokenize(facts.source_text))
                 pairs += 1

@@ -1,9 +1,7 @@
 import itertools
 
-import pytest
-
 from gfgen.ingest import parse_conllu_file
-from gfgen.structure import StructureAtom, recognize, select
+from gfgen.structure import SHAPES, recognize, select
 
 
 def pairs(structures):
@@ -47,12 +45,12 @@ def test_structure_suite(fixtures_dir):
 
 
 def test_select_prefers_higher_i_value():
-    s = {StructureAtom(1, 1), StructureAtom(2, 2)}
-    assert select(s) == StructureAtom(2, 2)
+    s = {SHAPES[1], SHAPES[2]}
+    assert select(s) == SHAPES[2]
 
 
 def test_select_singleton():
-    assert select({StructureAtom(1, 1)}) == StructureAtom(1, 1)
+    assert select({SHAPES[1]}) == SHAPES[1]
 
 
 def test_select_empty_is_none():
@@ -60,14 +58,14 @@ def test_select_empty_is_none():
 
 
 def test_select_tie_break():
-    assert select({StructureAtom(2, 2), StructureAtom(5, 2)}) == StructureAtom(2, 2)
-    assert select({StructureAtom(4, 2), StructureAtom(5, 2)}) == StructureAtom(5, 2)
+    assert select({SHAPES[2], SHAPES[5]}) == SHAPES[2]
+    assert select({SHAPES[4], SHAPES[5]}) == SHAPES[5]
 
 
 def test_select_permutation_invariant():
-    atoms = [StructureAtom(1, 1), StructureAtom(4, 2), StructureAtom(5, 2)]
+    atoms = [SHAPES[1], SHAPES[4], SHAPES[5]]
     results = {select(set(p)) for p in itertools.permutations(atoms)}
-    assert results == {StructureAtom(5, 2)}
+    assert results == {SHAPES[5]}
 
 
 def test_simplest_structure_always_present(fixtures_dir):
@@ -139,9 +137,3 @@ def test_relations_named_like_derived_predicates(tmp_path, capsys):
     assert capsys.readouterr().out == "% sentence clash\nstructure(1,1).\nstructure(2,2).\n"
     assert main(["synthesize", str(path), "-o", str(tmp_path / "out")]) == 0
     assert [p.name for p in (tmp_path / "out").iterdir()] == ["frag_clash.json"]
-
-
-@pytest.mark.parametrize("kind, i_value", [(9, 1), (2, 1), (0, 0)])
-def test_structure_atom_outside_the_table_is_rejected(kind, i_value):
-    with pytest.raises(ValueError, match=r"no structure \(%d,%d\) exists" % (kind, i_value)):
-        StructureAtom(kind, i_value)
