@@ -20,12 +20,18 @@ in rendered grammar text.
 
 A fragment is written as JSON.  Decoding shares what repeats from sentence to
 sentence: every expression node (string, reference or constructor
-application) and every oper decodes to one object per distinct value, from
-process-wide tables.  The tables grow with the distinct expressions read: a
-replica of a sentence under a new id adds nothing, and each new sentence
-structure adds a few nodes.  Functions stay per fragment, since their names
-carry sentence ids.  A value of the wrong type is a ValueError; only what the
-tables miss is checked.  Encoding builds each sentence's own objects.
+application), every oper and every component function decodes to one object
+per distinct value, from process-wide tables.  Opers are found by name and
+category, component functions by name (their head lemma, which recurs across
+sentences): a definition whose dict equals, in one comparison, the canonical
+dict of one decoded before under its name is that shared object, with no walk
+and no check.  A canonical dict is built from the decoded object when its name
+is seen a second time, so a definition seen once costs one failed lookup.  A
+Message function is named by its sentence id, so it never recurs and stays per
+fragment.  The tables grow with the distinct definitions read: a replica of a
+sentence under a new id adds nothing, and each new sentence structure adds a
+few nodes.  A value of the wrong type is a ValueError; only what the tables
+miss is checked.  Encoding builds each sentence's own objects.
 """
 
 import re
@@ -493,11 +499,11 @@ def expr_to_dict(expr):
         return {"str": expr.text}
     if isinstance(expr, Ref):
         return {"ref": expr.name, "kind": expr.kind}
-    d = {"app": expr.fn, "args": [expr_to_dict(a) for a in expr.args]}
-    if expr.num:
+    d = {"app": expr.fn, "args": list(map(expr_to_dict, expr.args))}
+    if expr.num is not None:
         d["num"] = expr.num
     if expr.forms:
-        d["forms"] = {k: v for k, v in expr.forms}
+        d["forms"] = dict(expr.forms)
     return d
 
 
@@ -514,14 +520,23 @@ def oper_to_dict(oper):
     return {"name": oper.name, "category": oper.category, "definition": expr_to_dict(oper.definition)}
 
 
-# Decoded expression nodes and opers, shared by every decoded fragment: a leaf
-# is looked up by its text or (name, kind), a constructor node by its
-# constructor, number, forms and the identities of its already shared
-# arguments, and an oper by its name, category and the identity of its
-# definition.  The tables keep every object whose identity they key alive.
+# Decoded expression nodes, opers and component functions, shared by every
+# decoded fragment: a leaf is looked up by its text or (name, kind), a
+# constructor node by its constructor, number, forms and the identities of its
+# already shared arguments; the table keeps every object whose identity it
+# keys alive.  An oper is looked up by (name, category) and a component
+# function by its name: a name seen once holds its object, and from the
+# second sighting on a list of [canonical dict, object] entries.  An input
+# dict equal to an entry's canonical dict is that entry's object.  Equality
+# with a dict built from checked values implies the same types, so a hit needs
+# no check.  An entry's canonical dict is built from its object when its name
+# is looked up again, so a caller that later mutates its input cannot change
+# it.  An unhashable key (a list or dict) misses, and the checks on the miss
+# path reject it.
 _LEAVES = {}
 _NODES = {}
 _OPERS = {}
+_FUNCTIONS = {}
 
 
 def _checked(value, kind, what):
@@ -547,18 +562,66 @@ def _app(fn, args, num, forms):
 def expr_from_dict(d):
     if "str" in d:
         key = d["str"]
-        return _LEAVES.get(key) or _LEAVES.setdefault(key, Lit(_checked(key, str, "literal")))
+        try:
+            leaf = _LEAVES.get(key)
+        except TypeError:  # unhashable, so no str: the check below rejects it
+            leaf = None
+        return leaf or _LEAVES.setdefault(key, Lit(_checked(key, str, "literal")))
     if "ref" in d:
         key = (d["ref"], d["kind"])
-        return _LEAVES.get(key) or _LEAVES.setdefault(key, _ref(*key))
+        try:
+            leaf = _LEAVES.get(key)
+        except TypeError:
+            leaf = None
+        return leaf or _LEAVES.setdefault(key, _ref(*key))
     args = tuple(map(expr_from_dict, d["args"]))
     forms = d.get("forms")
     forms = tuple(sorted(forms.items())) if forms else ()
     key = (d["app"], d.get("num"), forms, *map(id, args))
-    return _NODES.get(key) or _NODES.setdefault(key, _app(d["app"], args, d.get("num"), forms))
+    try:
+        node = _NODES.get(key)
+    except TypeError:
+        node = None
+    return node or _NODES.setdefault(key, _app(d["app"], args, d.get("num"), forms))
+
+
+def _recurring(table, key, seen, d, to_dict):
+    """The object decoded under ``key`` whose canonical dict equals ``d``, or None.
+
+    ``seen`` is ``table[key]``: the one object decoded under ``key`` so far or,
+    from the key's second sighting on, a list of [canonical dict, object] entries.
+    """
+    if type(seen) is not list:
+        seen = table[key] = [[None, seen]]
+    for entry in seen:
+        if entry[0] is None:
+            entry[0] = to_dict(entry[1])
+        if entry[0] == d:
+            return entry[1]
+    return None
+
+
+def _kept(entries, obj, body):
+    """The entry's object equal to ``obj``, else ``obj`` added to ``entries``.
+
+    Equal objects have one body, a shared node, so its field ``body`` is compared first.
+    """
+    for _, seen in entries:
+        if getattr(seen, body) is getattr(obj, body) and seen == obj:
+            return seen
+    entries.append([None, obj])
+    return obj
 
 
 def function_from_dict(f):
+    try:
+        seen = _FUNCTIONS.get(f["name"])
+    except TypeError:
+        seen = None
+    if seen is not None:
+        fun = _recurring(_FUNCTIONS, f["name"], seen, f, function_to_dict)
+        if fun is not None:
+            return fun
     args = f["args"]
     names = cats = ()
     if args != []:  # most functions take no argument
@@ -566,18 +629,29 @@ def function_from_dict(f):
         cats = tuple(_checked(a["cat"], str, "argument category") for a in args)
     name = _checked(f["name"], str, "function name")
     result = _checked(f["result"], str, "function result")
-    return GfFunction(name, names, cats, result, expr_from_dict(f["lin"]))
+    fun = GfFunction(name, names, cats, result, expr_from_dict(f["lin"]))
+    if result == "Message":  # named by its sentence id, so it never recurs
+        return fun
+    seen = _FUNCTIONS.setdefault(name, fun)
+    return fun if seen is fun else _kept(seen, fun, "lin")
 
 
 def oper_from_dict(o):
+    key = (o["name"], o["category"])
+    try:
+        seen = _OPERS.get(key)
+    except TypeError:
+        seen = None
+    if seen is not None:
+        oper = _recurring(_OPERS, key, seen, o, oper_to_dict)
+        if oper is not None:
+            return oper
     definition = expr_from_dict(o["definition"])
-    key = (o["name"], o["category"], id(definition))
-    oper = _OPERS.get(key)
-    if oper is None:
-        name, category = _checked(key[0], str, "oper name"), _checked(key[1], str, "category")
-        definition = _checked(definition, App, "oper definition")  # merge reads its forms
-        oper = _OPERS.setdefault(key, GfOper(name, category, definition))
-    return oper
+    name, category = _checked(key[0], str, "oper name"), _checked(key[1], str, "category")
+    definition = _checked(definition, App, "oper definition")  # merge reads its forms
+    oper = GfOper(name, category, definition)
+    seen = _OPERS.setdefault(key, oper)
+    return oper if seen is oper else _kept(seen, oper, "definition")
 
 
 def fragment_to_dict(grammar):

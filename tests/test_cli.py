@@ -297,11 +297,11 @@ def _nested_fragment_text(depth):
 BAD_FRAGMENTS = {
     "list_num.json": (
         _fragment_text({"app": "mkNP", "args": [{"ref": "game_N", "kind": "oper"}], "num": ["pl"]}),
-        "not a fragment (TypeError: unhashable type: 'list')",
+        "not a fragment (ValueError: number: expected str, got ['pl'])",
     ),
     "list_forms.json": (
         _fragment_text({"app": "mkV2", "args": [{"str": "make"}], "forms": {"part": ["made"]}}),
-        "not a fragment (TypeError: unhashable type: 'list')",
+        "not a fragment (ValueError: form: expected str, got ['made'])",
     ),
     "not_json.json": ("not json\n", "not JSON: Expecting value: line 1 column 1 (char 0)"),
     "not_fragment.json": ('{"sentence_id": "x"}\n', "not a fragment (KeyError: 'categories')"),

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import operator
 import random
 from pathlib import Path
 
@@ -241,14 +242,161 @@ def test_nodes_that_differ_in_one_field_decode_apart(other):
     assert base is not decoded_other
 
 
+def _fragment_dict(lin, functions=(), opers=()):
+    """Fragment x: ``functions``, then sent_x with the body ``lin``, and ``opers``."""
+    sent = {"name": "sent_x", "args": [], "result": "Message", "lin": lin}
+    return {
+        "sentence_id": "x",
+        "categories": ["Message", "NP"],
+        "lincats": {"Message": "Cl", "NP": "NP"},
+        "functions": [*functions, sent],
+        "opers": list(opers),
+    }
+
+
+GAME = {"app": "mkN", "args": [{"str": "game"}]}
+
+
+@pytest.mark.parametrize(
+    "fragment, field",
+    [
+        (_fragment_dict({"str": ["a"]}), "literal"),
+        (_fragment_dict({"ref": ["a"], "kind": "oper"}), "reference name"),
+        (_fragment_dict({"ref": "a", "kind": ["oper"]}), "reference kind"),
+        (_fragment_dict({"app": ["mkNP"], "args": [{"str": "a"}]}), "constructor"),
+        (_fragment_dict({"app": "mkNP", "args": [{"str": "a"}], "num": ["pl"]}), "number"),
+        (_fragment_dict({"str": "a"}, opers=[{"name": ["x"], "category": "N", "definition": GAME}]), "oper name"),
+        (_fragment_dict({"str": "a"}, opers=[{"name": "game_N", "category": ["N"], "definition": GAME}]), "category"),
+        (
+            _fragment_dict({"str": "a"}, [{"name": ["Game"], "args": [], "result": "NP", "lin": GAME}]),
+            "function name",
+        ),
+    ],
+    ids=["literal", "ref_name", "ref_kind", "constructor", "num", "oper_name", "oper_category", "function_name"],
+)
+def test_a_list_where_a_string_belongs_is_a_value_error_naming_the_field(fragment, field):
+    for _ in range(3):  # and so it stays once the tables hold the names around it
+        with pytest.raises(ValueError, match="^%s: expected " % field):
+            fragment_from_dict(json.loads(json.dumps(fragment)))
+
+
 def test_shared_tables_grow_with_vocabulary_not_fragments(fixtures_dir):
     decoded(corpus_fragments(fixtures_dir, "_r00"))
     sizes = len(encoder._LEAVES), len(encoder._OPERS)
     nodes = len(encoder._NODES)
+    definitions = _definition_table_sizes()
     for r in range(1, 5):
         decoded(corpus_fragments(fixtures_dir, "_r%02d" % r))
     assert (len(encoder._LEAVES), len(encoder._OPERS)) == sizes
     assert len(encoder._NODES) == nodes
+    assert _definition_table_sizes() == definitions
+
+
+def _definition_table_sizes():
+    """The keys and the objects of the oper and function tables.
+
+    A name seen once holds its object, a name seen again a list of [canonical dict, object].
+    """
+    return [
+        (len(table), sum(len(v) if type(v) is list else 1 for v in table.values()))
+        for table in (encoder._OPERS, encoder._FUNCTIONS)
+    ]
+
+
+def _dict_nodes(d):
+    """Every node dict of an expression dict, root first."""
+    return [d] + [node for a in d.get("args", ()) for node in _dict_nodes(a)]
+
+
+def test_replicas_walk_only_their_message_bodies(fixtures_dir, monkeypatch):
+    decoded(corpus_fragments(fixtures_dir, "_r00"))
+    dicts = [
+        json.loads(json.dumps(fragment_to_dict(f)))
+        for r in range(1, 5)
+        for f in corpus_fragments(fixtures_dir, "_r%02d" % r)
+    ]
+    walked = []
+    expr_from_dict = encoder.expr_from_dict
+
+    def counting(d):
+        walked.append(d)
+        return expr_from_dict(d)
+
+    monkeypatch.setattr(encoder, "expr_from_dict", counting)
+    for d in dicts:
+        fragment_from_dict(d)
+    bodies = [f["lin"] for d in dicts for f in d["functions"] if f["result"] == "Message"]
+    # each node of a Message body once; no oper and no component-function body
+    assert sorted(map(id, walked)) == sorted(id(node) for lin in bodies for node in _dict_nodes(lin))
+
+
+def test_definitions_under_one_name_that_differ_in_one_leaf_decode_apart(fixtures_dir):
+    built = [f for f in corpus_fragments(fixtures_dir, "_apart") if "student_N" in f.opers]
+    students = {}
+    for _ in range(3):  # first sighting, canonical dicts built, hits
+        for fragment, again in zip(built, decoded(built), strict=True):
+            oper = again.opers["student_N"]
+            assert oper == fragment.opers["student_N"]
+            assert students.setdefault(oper.definition.args[1].text, oper) is oper
+            for fun, fun_again in zip(fragment.functions, again.functions, strict=True):
+                assert fun_again == fun
+    assert sorted(students) == ["Students", "students"]
+
+
+def _zebra_dict():
+    """A fragment's dict with the oper zebra_N and the component function Zebra."""
+    return fragment_to_dict(_simple_fragment("zebra", "zebra", "zebra"))
+
+
+def test_mutating_an_input_after_decoding_changes_no_later_decode():
+    d = _zebra_dict()
+    first = fragment_from_dict(d)
+    assert fragment_from_dict(d).opers["zebra_N"] is first.opers["zebra_N"]  # canonical dicts built
+    d["opers"][0]["definition"]["args"][0]["str"] = "okapi"
+    d["functions"][0]["lin"]["app"] = "mkCN"
+    again = fragment_from_dict(_zebra_dict())
+    assert again.opers["zebra_N"] is first.opers["zebra_N"]
+    assert again.functions[0] is first.functions[0]
+    assert again.opers["zebra_N"].definition == app("mkN", Lit("zebra"))
+    changed = fragment_from_dict(d)
+    assert changed.opers["zebra_N"].definition == app("mkN", Lit("okapi"))
+    assert changed.functions[0].lin == app("mkCN", oper_ref("zebra_N"))
+
+
+def test_an_extra_key_or_null_number_decodes_to_the_same_object_without_growth():
+    plain = fragment_from_dict(_zebra_dict())
+    fragment_from_dict(_zebra_dict())  # canonical dicts built
+    tables = (encoder._LEAVES, encoder._NODES, encoder._OPERS, encoder._FUNCTIONS)
+    sizes = [len(table) for table in tables], _definition_table_sizes()
+    for _ in range(100):
+        d = _zebra_dict()
+        d["opers"][0]["note"] = "extra"
+        d["opers"][0]["definition"]["note"] = "extra"
+        d["functions"][0]["lin"]["num"] = None
+        d["functions"][0]["note"] = "extra"
+        again = fragment_from_dict(d)
+        assert again.opers["zebra_N"] is plain.opers["zebra_N"]
+        assert again.functions[0] is plain.functions[0]
+    assert ([len(table) for table in tables], _definition_table_sizes()) == sizes
+
+
+def test_an_empty_number_and_no_number_decode_apart():
+    gnu = {"name": "gnu_N", "category": "N", "definition": {"app": "mkN", "args": [{"str": "gnu"}], "num": ""}}
+    for _ in range(2):  # canonical dict built
+        assert fragment_from_dict(_fragment_dict({"str": "a"}, opers=[gnu])).opers["gnu_N"].definition.num == ""
+    del gnu["definition"]["num"]
+    assert fragment_from_dict(_fragment_dict({"str": "a"}, opers=[gnu])).opers["gnu_N"].definition.num is None
+
+
+def test_component_functions_are_shared_and_message_functions_are_not(fixtures_dir):
+    fragments = corpus_fragments(fixtures_dir, "_own")
+    first, second = decoded(fragments), decoded(fragments)
+    for a, b in zip(first, second, strict=True):
+        *components, message = a.functions
+        *components_again, message_again = b.functions
+        assert message.result == message_again.result == "Message"
+        assert message_again == message and message_again is not message
+        assert all(map(operator.is_, components_again, components))
 
 
 def test_merge_of_decoded_fragments_matches_encoder_built(fixtures_dir):
