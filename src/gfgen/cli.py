@@ -60,9 +60,8 @@ def _dump_components(records, out):
 
 def _dump_models(sentences, out):
     for facts in sentences:
-        model = engine.derive_family(facts.fact_index, "structure")
         out.write("%% sentence %s\n" % facts.sentence_id)
-        out.write(engine.model_to_text(model))
+        out.write(engine.model_to_text(facts.model, "structure"))
 
 
 def _cmd_synthesize(args):
@@ -218,7 +217,7 @@ def build_parser():
     p.add_argument("-o", "--output", default="fragments")
     p.add_argument("--dump-structures", action="store_true")
     p.add_argument("--dump-components", action="store_true")
-    p.add_argument("--dump-models", action="store_true", help="debug: derived atoms as facts")
+    p.add_argument("--dump-models", action="store_true", help="debug: each model's structure atoms")
     p.set_defaults(func=_cmd_synthesize)
 
     p = sub.add_parser("export", help="merge fragments and write Name.gf/NameEng.gf")

@@ -7,7 +7,10 @@ each new position, which yields the maximal chunk of words supporting each
 main component.
 """
 
+from operator import attrgetter
 from typing import NamedTuple
+
+from .engine import COMPLEMENT_KINDS
 
 # Determiners, possessives, auxiliaries, copulas and punctuation are never
 # chunk members: the complement rules only consume compound/amod/conj/
@@ -52,7 +55,7 @@ class ComponentMap(_RoleFields):
 
 
 class ComplementAttachment(NamedTuple):
-    kind: str  # one of engine.COMPLEMENT_KINDS
+    kind: str  # one of COMPLEMENT_KINDS
     host: int
     dependent: int
     case_marker: int = None
@@ -112,10 +115,9 @@ def main_components(facts, selected):
     structure resolves its trailing component by tag: jj becomes an
     adjectival predicate, nn/nns/cd a nominal one; anything else is rejected.
     """
-    rows = [a.args[1:] for a in facts.model.derived_with("roles") if a.args[0] == selected.kind]
-    first = min((row[0] for row in rows), default=None)
+    rows = facts.model.by_first("roles").get(selected.kind, ())  # sorted by body position
     names = sorted(selected.roles)
-    cands = [dict(zip(names, row[1:])) for row in rows if row[0] == first]
+    cands = [dict(zip(names, row[2:])) for row in rows if row[1] == rows[0][1]]
     chosen = _prefer_root(facts, cands, selected.anchor)
     if selected.kind == 4:
         head_tag = facts.pos(chosen["obj"])
@@ -128,8 +130,13 @@ def main_components(facts, selected):
 
 def complements(facts, pos):
     """All complement attachments anchored at one token, in dependent order."""
-    found = facts.complements_by_host.get(pos, ())
-    return [ComplementAttachment(a.predicate, *a.args) for a in found]
+    found = [
+        ComplementAttachment(kind, *args)
+        for kind in COMPLEMENT_KINDS  # in name order, each kind's facts sorted
+        for args in facts.model.by_first(kind).get(pos, ())
+    ]
+    found.sort(key=attrgetter("dependent"))  # stable: (dependent, kind, args) order
+    return found
 
 
 def build_chunk(facts, head, _visited=None):

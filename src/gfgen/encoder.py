@@ -574,9 +574,9 @@ def expr_from_dict(d):
         except TypeError:
             leaf = None
         return leaf or _LEAVES.setdefault(key, _ref(*key))
-    args = tuple(map(expr_from_dict, d["args"]))
+    args = tuple(map(expr_from_dict, _checked(d["args"], list, "arguments")))
     forms = d.get("forms")
-    forms = tuple(sorted(forms.items())) if forms else ()
+    forms = tuple(sorted(_checked(forms, dict, "forms").items())) if forms else ()
     key = (d["app"], d.get("num"), forms, *map(id, args))
     try:
         node = _NODES.get(key)
@@ -625,6 +625,7 @@ def function_from_dict(f):
     args = f["args"]
     names = cats = ()
     if args != []:  # most functions take no argument
+        _checked(args, list, "function arguments")
         names = tuple(_checked(a["name"], str, "argument name") for a in args)
         cats = tuple(_checked(a["cat"], str, "argument category") for a in args)
     name = _checked(f["name"], str, "function name")

@@ -1,8 +1,8 @@
-"""Forward-chaining evaluation of the stratified rule families.
+"""Forward-chaining evaluation of the sentence program.
 
-One table, CLAUSE_SHAPES, states the five clause shapes; the structure and
-role rules are generated from it.  Each sentence is analysed by one program,
-the shape rules plus the complement rules, evaluated once: a matching shape
+One table, CLAUSE_SHAPES, states the five clause shapes; the shape rules are
+generated from it.  Each sentence is analysed by one program, SENTENCE_RULES:
+the shape rules plus the complement rules, evaluated once.  A matching shape
 body yields its structure reading and its role tokens together.  The rules
 are positive and choice-free in effect, and no head predicate occurs in a
 body, so a single pass over the ground facts derives the whole model and
@@ -13,11 +13,11 @@ Terms are plain ints or lowercase symbol strings; identifiers starting with
 an uppercase letter are variables.  A rule list is compiled once into a
 Program: each body becomes a join plan over fixed row slots, so matching a
 fact is tuple indexing.  Facts are indexed as argument tuples grouped by
-predicate, and a Model builds its ``atoms`` set only when it is read.
+predicate, and a model is indexed the same way: the derived atoms alone,
+apart from the facts they came from.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -87,9 +87,6 @@ class FactIndex:
                 if args:
                     firsts.setdefault(args[0], []).append(args)
         return firsts
-
-    def atoms(self):
-        return frozenset(Atom(p, args) for p, group in self.by_predicate.items() for args in group)
 
 
 def _index(facts):
@@ -189,51 +186,36 @@ class Program(tuple):
         return self
 
 
-@dataclass(frozen=True, eq=False)
-class Model:
-    """The model of a rule family: input facts plus derived atoms.
-
-    ``derived`` holds the atoms rule heads produced, whether or not an input
-    fact equals one, so an input relation named like a head predicate is
-    never read as a derived atom.  ``atoms`` is built on first use.
-    """
-
-    facts: FactIndex
-    derived: frozenset
-
-    @cached_property
-    def atoms(self):
-        return self.facts.atoms() | self.derived
-
-    def derived_with(self, predicate):
-        return {a for a in self.derived if a.predicate == predicate}
-
-
 def derive(facts, rules):
-    """The model of a rule list (or Program) over ground facts (a set or a FactIndex).
+    """The atoms a rule list (or Program) derives from ground facts (a set or a
+    FactIndex), as a FactIndex of their own.
 
     Every rule is matched once against the facts; no head predicate occurs in
     a body, so no derived atom can match another rule.  A rule whose first
-    body predicate has no fact is skipped.
+    body predicate has no fact is skipped.  Every atom a head produces is
+    kept, whether or not an input fact equals it, so an input relation named
+    like a head predicate is never read as a derived atom.
     """
     index = _index(facts)
     program = rules if isinstance(rules, Program) else Program(rules)
-    derived = set()
+    derived = {}
     for plan in program.plans:
         if plan.first is None or plan.first in index.by_predicate:
-            for row in plan.rows(index):
+            rows = plan.rows(index)
+            if rows:
                 for predicate, pick in plan.heads:
-                    derived.add(Atom(predicate, pick(row)))
-    return Model(index, frozenset(derived))
+                    derived.setdefault(predicate, set()).update(map(pick, rows))
+    return FactIndex.of_groups({p: list(group) for p, group in derived.items()})
 
 
-def model_to_text(model):
-    """Debug rendering of derived atoms, one fact per line."""
-    lines = sorted(str(a) + "." for a in model.derived)
+def model_to_text(model, predicate):
+    """Debug rendering of a model's atoms of one predicate, one fact per line."""
+    group = model.by_predicate.get(predicate, ())
+    lines = sorted(str(Atom(predicate, args)) + "." for args in group)
     return "".join(line + "\n" for line in lines)
 
 
-# --- rule families ----------------------------------------------------------
+# --- the sentence program ---------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,26 +282,6 @@ CLAUSE_SHAPES = (
 )
 
 
-def _shape_rules(*heads):
-    """One rule per body of every clause shape, headed by each ``head(shape, position)``."""
-    return Program(
-        rule([head(s, i) for head in heads], body)
-        for s in CLAUSE_SHAPES
-        for i, body in enumerate(s.bodies)
-    )
-
-
-def _structure(shape, position):
-    return atom("structure", shape.kind, shape.i_value)
-
-
-def _roles(shape, position):
-    """``roles(kind, body position, token per role)``, the roles sorted by name."""
-    return atom("roles", shape.kind, position, *(shape.roles[r] for r in sorted(shape.roles)))
-
-
-STRUCTURE_RULES = _shape_rules(_structure)
-
 # Complement discovery.  Each head carries the host word it attaches to; the
 # preposition rule pairs an nmod (or its UD-v2 spelling, obl) with the
 # dependent's case marker.
@@ -337,22 +299,23 @@ COMPLEMENT_RULES = Program((
     ),
     rule([atom("adverbial_modifier", "H", "ADV")], [atom("advmod", "H", "ADV")]),
 ))
-COMPLEMENT_KINDS = frozenset(h.predicate for r in COMPLEMENT_RULES for h in r.heads)
+COMPLEMENT_KINDS = tuple(sorted({h.predicate for r in COMPLEMENT_RULES for h in r.heads}))
 
-# The program each sentence is analysed with: every shape body yields its
-# structure reading and its roles, beside the complements.
-SENTENCE_RULES = Program(_shape_rules(_structure, _roles) + COMPLEMENT_RULES)
-
-FAMILIES = {
-    "structure": STRUCTURE_RULES,
-    "components": _shape_rules(_roles),
-    "complements": COMPLEMENT_RULES,
-    "sentence": SENTENCE_RULES,
-}
-
-
-def derive_family(facts, family):
-    """Evaluate a named rule family (a key of FAMILIES)."""
-    if family not in FAMILIES:
-        raise KeyError("unknown rule family %r" % family)
-    return derive(facts, FAMILIES[family])
+# The program each sentence is analysed with: every body of every clause shape
+# derives its reading, ``structure(kind, i-value)``, and its roles,
+# ``roles(kind, body position, token per role)`` with the roles sorted by name,
+# beside the complements.
+SENTENCE_RULES = Program((
+    *(
+        rule(
+            [
+                atom("structure", s.kind, s.i_value),
+                atom("roles", s.kind, i, *(s.roles[r] for r in sorted(s.roles))),
+            ],
+            body,
+        )
+        for s in CLAUSE_SHAPES
+        for i, body in enumerate(s.bodies)
+    ),
+    *COMPLEMENT_RULES,
+))

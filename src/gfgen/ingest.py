@@ -119,18 +119,10 @@ class SentenceFacts:
 
     @cached_property
     def model(self):
-        """The sentence program's model: structure readings and complements."""
+        """The atoms ``engine.SENTENCE_RULES`` derives from the sentence's facts:
+        its structure readings, their roles and its complements, grouped by
+        predicate, without the facts themselves."""
         return engine.derive(self.fact_index, engine.SENTENCE_RULES)
-
-    @cached_property
-    def complements_by_host(self):
-        """The model's complement atoms grouped by host token, each group in
-        (dependent, predicate, args) order."""
-        groups = {}
-        found = [a for a in self.model.derived if a.predicate in engine.COMPLEMENT_KINDS]
-        for a in sorted(found, key=lambda a: (a.args[1], a.predicate, a.args)):
-            groups.setdefault(a.args[0], []).append(a)
-        return groups
 
     def token(self, index):
         return self._by_index[index]

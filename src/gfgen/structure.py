@@ -13,7 +13,7 @@ SHAPES = {shape.kind: shape for shape in CLAUSE_SHAPES}
 
 def recognize(facts):
     """All structure readings of a sentence, as table rows (empty set: unrecognized)."""
-    return {SHAPES[a.args[0]] for a in facts.model.derived_with("structure")}
+    return {SHAPES[kind] for kind, _ in facts.model.by_predicate.get("structure", ())}
 
 
 def select(structures):

@@ -10,13 +10,21 @@ from gfgen.components import (
     _prefer_root,
     main_components,
 )
-from gfgen.engine import Atom, atom, derive, derive_family, is_variable
+from gfgen.engine import SENTENCE_RULES, Atom, atom, derive, is_variable
 from gfgen.ingest import parse_conllu, parse_conllu_file
 from gfgen.structure import SHAPES, recognize
 
+# every Program the engine module defines, so the oracles cover a program added later
+PROGRAMS = {name: v for name, v in vars(engine).items() if isinstance(v, engine.Program)}
+
+
+def atoms(model):
+    """The atoms of a model (a FactIndex), as a set."""
+    return {Atom(p, args) for p, group in model.by_predicate.items() for args in group}
+
 
 def structures(model):
-    return {a.args for a in model.derived_with("structure")}
+    return set(model.by_predicate.get("structure", ()))
 
 
 BILL_FACTS = frozenset(
@@ -35,27 +43,30 @@ BILL_FACTS = frozenset(
 
 
 def test_bill_game_structures():
-    model = derive_family(BILL_FACTS, "structure")
+    model = derive(BILL_FACTS, SENTENCE_RULES)
     assert structures(model) == {(1, 1), (2, 2)}
 
 
 def test_empty_fact_set():
-    for family in engine.FAMILIES:
-        model = derive_family(frozenset(), family)
-        assert model.atoms == frozenset()
+    assert {"SENTENCE_RULES", "COMPLEMENT_RULES"} <= set(PROGRAMS)
+    for program in PROGRAMS.values():
+        assert derive(frozenset(), program).by_predicate == {}
 
 
 def test_copular_structures():
     facts = frozenset([atom("nsubj", 3, 1), atom("cop", 3, 2), atom("pos_tag", 3, "jj")])
-    model = derive_family(facts, "structure")
+    model = derive(facts, SENTENCE_RULES)
     assert structures(model) == {(1, 1), (4, 2)}
 
 
 def test_component_heads_are_conjunctive():
     # roles(kind, body position, token per role in name order): one head binds
-    # every role of a matching body; transitive is (obj, sub, verb)
-    model = derive_family(BILL_FACTS, "components")
-    assert model.derived == {atom("roles", 2, 0, 4, 1, 2), atom("roles", 1, 0, 1, 2)}
+    # every role of a matching body, beside its reading; transitive is (obj, sub, verb)
+    model = derive(BILL_FACTS, SENTENCE_RULES)
+    assert model.by_predicate == {
+        "structure": [(1, 1), (2, 2)],
+        "roles": [(1, 0, 1, 2), (2, 0, 4, 1, 2)],
+    }
 
 
 def test_complements_anchor_position():
@@ -68,8 +79,8 @@ def test_complements_anchor_position():
             atom("amod", 10, 9),
         ]
     )
-    model = derive_family(facts, "complements")
-    derived = {(a.predicate, a.args) for a in model.derived}
+    model = derive(facts, SENTENCE_RULES)
+    derived = {(a.predicate, a.args) for a in atoms(model)}
     assert {(p, args[1:]) for p, args in derived if args[0] == 6} == {
         ("adj_mod", (4,)),
         ("noun_compound", (5,)),
@@ -81,20 +92,22 @@ def test_complements_anchor_position():
 
 def test_monotonicity():
     extra = frozenset([atom("nsubjpass", 7, 6), atom("auxpass", 7, 8)])
-    small = derive_family(BILL_FACTS, "structure")
-    big = derive_family(BILL_FACTS | extra, "structure")
-    assert small.atoms <= big.atoms
+    small = derive(BILL_FACTS, SENTENCE_RULES)
+    big = derive(BILL_FACTS | extra, SENTENCE_RULES)
+    assert atoms(small) < atoms(big)
 
 
 def test_fixpoint_is_stable():
-    model = derive_family(BILL_FACTS, "structure")
-    again = derive_family(model.atoms | BILL_FACTS, "structure")
-    assert again.atoms == model.atoms
+    model = derive(BILL_FACTS, SENTENCE_RULES)
+    again = derive(atoms(model) | BILL_FACTS, SENTENCE_RULES)
+    assert again.by_predicate == model.by_predicate
 
 
 def _brute_force(facts, rules):
-    """Ground every rule over the constant universe and iterate to fixpoint."""
+    """Ground every rule over the constant universe and iterate to fixpoint; the
+    ground heads of every rule instance whose body holds."""
     atoms = set(facts)
+    derived = set()
     constants = sorted(
         {arg for a in atoms for arg in a.args}, key=lambda x: (str(type(x)), str(x))
     )
@@ -111,10 +124,19 @@ def _brute_force(facts, rules):
                 if all(g in atoms for g in grounded):
                     for h in r.heads:
                         ground_head = Atom(h.predicate, tuple(subst.get(t, t) for t in h.args))
+                        derived.add(ground_head)
                         if ground_head not in atoms:
                             atoms.add(ground_head)
                             changed = True
-    return frozenset(atoms)
+    return derived
+
+
+def _check_against_brute_force(facts):
+    for name, program in PROGRAMS.items():
+        model = derive(facts, program)
+        assert atoms(model) == _brute_force(facts, program), (name, sorted(map(str, facts)))
+        for group in model.by_predicate.values():
+            assert group == sorted(set(group)), name
 
 
 def test_brute_force_grounder_equivalence():
@@ -129,13 +151,7 @@ def test_brute_force_grounder_equivalence():
             facts.add(atom(rel, rng.randint(1, n_tokens), rng.randint(1, n_tokens)))
         for i in range(1, n_tokens + 1):
             facts.add(atom("pos_tag", i, rng.choice(tags)))
-        facts = frozenset(facts)
-        for family in ("structure", "components", "sentence"):
-            rules = engine.FAMILIES[family]
-            assert derive(facts, rules).atoms == _brute_force(facts, rules), (
-                family,
-                sorted(map(str, facts)),
-            )
+        _check_against_brute_force(frozenset(facts))
 
 
 def test_complements_brute_force_equivalence():
@@ -147,8 +163,7 @@ def test_complements_brute_force_equivalence():
             atom(rng.choice(relations), rng.randint(1, n_tokens), rng.randint(1, n_tokens))
             for _ in range(rng.randint(1, 14))
         )
-        rules = engine.COMPLEMENT_RULES
-        assert derive(facts, rules).atoms == _brute_force(facts, rules), sorted(map(str, facts))
+        _check_against_brute_force(facts)
 
 
 def test_recursive_rules_are_rejected():
@@ -189,7 +204,7 @@ def _variables(body):
 
 def _matches(facts, body):
     """What one rule over ``body`` derives, its head listing every body variable."""
-    return derive(facts, [engine.rule([Atom("match", _variables(body))], body)]).derived
+    return atoms(derive(facts, [engine.rule([Atom("match", _variables(body))], body)]))
 
 
 def _naive_matches(facts, body):
@@ -328,5 +343,5 @@ def test_roles_of_every_corpus_reading_equal_naive_bindings(fixtures_dir):
 
 
 def test_model_to_text():
-    model = derive_family(frozenset([atom("nsubj", 2, 1)]), "structure")
-    assert engine.model_to_text(model) == "structure(1,1).\n"
+    model = derive(frozenset([atom("nsubj", 2, 1)]), SENTENCE_RULES)
+    assert engine.model_to_text(model, "structure") == "structure(1,1).\n"

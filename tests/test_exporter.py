@@ -280,6 +280,26 @@ def test_a_list_where_a_string_belongs_is_a_value_error_naming_the_field(fragmen
             fragment_from_dict(json.loads(json.dumps(fragment)))
 
 
+@pytest.mark.parametrize(
+    "fragment, field",
+    [
+        (_fragment_dict({"app": "mkNP", "args": 3}), "arguments"),
+        (_fragment_dict({"app": "mkNP", "args": "ab"}), "arguments"),
+        (
+            _fragment_dict({"str": "a"}, [{"name": "Game", "args": 3, "result": "NP", "lin": GAME}]),
+            "function arguments",
+        ),
+        (_fragment_dict({"app": "mkV", "args": [{"str": "a"}], "forms": ["a"]}), "forms"),
+        (_fragment_dict({"app": "mkV", "args": [{"str": "a"}], "forms": "a"}), "forms"),
+    ],
+    ids=["args_int", "args_str", "function_args_int", "forms_list", "forms_str"],
+)
+def test_a_wrong_container_is_a_value_error_naming_the_field(fragment, field):
+    for _ in range(3):
+        with pytest.raises(ValueError, match="^%s: expected " % field):
+            fragment_from_dict(json.loads(json.dumps(fragment)))
+
+
 def test_shared_tables_grow_with_vocabulary_not_fragments(fixtures_dir):
     decoded(corpus_fragments(fixtures_dir, "_r00"))
     sizes = len(encoder._LEAVES), len(encoder._OPERS)
