@@ -10,11 +10,13 @@ replaces a full ASP solver.  Heads with cardinality bounds are definite:
 every head atom is derived once the body matches.
 
 Terms are plain ints or lowercase symbol strings; identifiers starting with
-an uppercase letter are variables.  A rule list is compiled once into a
-Program: each body becomes a join plan over fixed row slots, so matching a
-fact is tuple indexing.  Facts are indexed as argument tuples grouped by
-predicate, and a model is indexed the same way: the derived atoms alone,
-apart from the facts they came from.
+an uppercase letter are variables.  A rule body is a path of binary
+relations down the dependency tree: each atom holds two distinct variables,
+and each atom after the first starts at a variable an earlier one bound and
+binds a new one.  A Program rejects any other body and compiles each path
+once into a walk, so matching a fact is one lookup by a bound value.  Facts
+are indexed as argument tuples grouped by predicate, and a model is indexed
+the same way: the derived atoms alone, apart from the facts they came from.
 """
 
 from dataclasses import dataclass
@@ -51,28 +53,16 @@ def is_variable(term):
 class FactIndex:
     """Ground facts as argument tuples grouped by predicate, each group sorted once.
 
-    ``by_predicate`` maps a predicate to its facts' argument tuples in order;
-    ``by_first`` gives a predicate's {first argument: the subsequence of that
-    list starting with it}, so a lookup through either sees the facts in the
-    same order.
+    Built from {predicate: [argument tuple, ...]} without repeats; the lists
+    are sorted in place.  ``by_predicate`` maps a predicate to its facts'
+    argument tuples in order; ``by_first`` gives a predicate's {first
+    argument: the subsequence of that list starting with it}, so a lookup
+    through either sees the facts in the same order.
     """
 
     __slots__ = ("by_predicate", "_by_first")
 
-    def __init__(self, atoms=()):
-        groups = {}
-        for a in frozenset(atoms):
-            groups.setdefault(a.predicate, []).append(a.args)
-        self._fill(groups)
-
-    @classmethod
-    def of_groups(cls, groups):
-        """The index of {predicate: [argument tuple, ...]} without repeats; sorts the lists."""
-        index = cls.__new__(cls)
-        index._fill(groups)
-        return index
-
-    def _fill(self, groups):
+    def __init__(self, groups):
         for group in groups.values():
             group.sort()
         self.by_predicate = groups
@@ -84,89 +74,55 @@ class FactIndex:
         if firsts is None:
             firsts = self._by_first[predicate] = {}
             for args in self.by_predicate.get(predicate, ()):
-                if args:
-                    firsts.setdefault(args[0], []).append(args)
+                firsts.setdefault(args[0], []).append(args)
         return firsts
 
 
-def _index(facts):
-    return facts if isinstance(facts, FactIndex) else FactIndex(facts)
-
-
 def _picker(slots):
-    """The function from a tuple to the tuple of its items at ``slots``."""
-    if len(slots) == 1:
-        (slot,) = slots
-        return lambda row: (row[slot],)
-    return itemgetter(*slots) if slots else lambda row: ()
+    """The function from a row to the tuple of its items at ``slots``."""
+    if len(slots) > 1:
+        return itemgetter(*slots)
+    return lambda row: tuple(row[s] for s in slots)
 
 
 class Plan:
-    """A conjunctive body compiled once into a join in body order.
+    """A path body compiled once into a walk in body order.
 
-    A row holds one value per slot: first every constant of the body and of
-    ``heads``, then each variable in order of first occurrence.  A step reads
-    its predicate's facts, or only those whose first argument equals an
-    already filled slot, appends the values of the variables it binds and
-    keeps the row when every other position equals its slot.  ``heads``
-    become (predicate, picker of the argument tuple) pairs.
+    A row holds every constant of ``heads``, then both arguments of the first
+    body atom, then the second argument of each later one.  The facts of
+    ``first`` start the rows; each later step, (predicate, slot), extends a
+    row by the facts whose first argument is the row's value at ``slot``.
+    ``heads`` become (predicate, picker of the argument tuple) pairs.  A
+    body that is not a path raises ValueError naming the atom.
     """
 
     __slots__ = ("first", "row", "steps", "heads")
 
-    def __init__(self, body, heads=()):
-        terms = [t for a in (*body, *heads) for t in a.args]
-        self.row = tuple(t for t in terms if not is_variable(t))
-        constants = iter(range(len(self.row)))
-        variables = {}
-
-        def slots(pattern):
-            return [
-                variables.setdefault(t, len(self.row) + len(variables))
-                if is_variable(t)
-                else next(constants)
-                for t in pattern.args
-            ]
-
+    def __init__(self, body, heads):
+        if not body:
+            raise ValueError("empty rule body for %s" % ", ".join(map(str, heads)))
+        self.first = body[0].predicate
+        self.row = tuple(t for h in heads for t in h.args if not is_variable(t))
+        slots = {}
         self.steps = []
         for pattern in body:
-            filled = len(self.row) + len(variables)
-            args = slots(pattern)
-            first = args[0] if args and args[0] < filled else None
-            new = [i for i, s in enumerate(args) if s >= filled and s not in args[:i]]
-            # the first position is new or was looked up; it needs no test
-            tests = tuple((i, s) for i, s in enumerate(args) if i and i not in new)
-            self.steps.append((pattern.predicate, len(args), first, tests, _picker(new)))
-        self.first = body[0].predicate if body else None
-        self.heads = []
-        for head in heads:
-            if any(is_variable(t) and t not in variables for t in head.args):
-                raise ValueError("unsafe rule head: %s not fully bound" % (head,))
-            self.heads.append((head.predicate, _picker(slots(head))))
-
-    def rows(self, index):
-        """Every row that satisfies the body over a FactIndex, in fact order."""
-        rows = [self.row]
-        for predicate, arity, first, tests, take in self.steps:
-            if first is None:
-                facts = index.by_predicate.get(predicate, ())
+            args = pattern.args
+            if len(args) != 2 or not all(map(is_variable, args)) or args[0] == args[1]:
+                raise ValueError("body atom %s is not over two distinct variables" % (pattern,))
+            if slots and (args[0] not in slots or args[1] in slots):
+                raise ValueError("body atom %s does not extend the path" % (pattern,))
+            if slots:
+                self.steps.append((pattern.predicate, slots[args[0]]))
             else:
-                facts = index.by_first(predicate)
-            extended = []
-            for row in rows:
-                for args in facts if first is None else facts.get(row[first], ()):
-                    if len(args) != arity:
-                        continue
-                    new = row + take(args)
-                    for i, s in tests:
-                        if args[i] != new[s]:
-                            break
-                    else:
-                        extended.append(new)
-            rows = extended
-            if not rows:
-                break
-        return rows
+                slots[args[0]] = len(self.row)
+            slots[args[1]] = len(self.row) + len(slots)
+        self.heads = []
+        constants = iter(range(len(self.row)))
+        for head in heads:
+            if any(is_variable(t) and t not in slots for t in head.args):
+                raise ValueError("unsafe rule head: %s not fully bound" % (head,))
+            picked = [slots[t] if is_variable(t) else next(constants) for t in head.args]
+            self.heads.append((head.predicate, _picker(picked)))
 
 
 class Program(tuple):
@@ -174,6 +130,7 @@ class Program(tuple):
 
     No rule may feed another: a list where some head predicate occurs in a
     body raises ValueError, so one pass over the facts derives every atom.
+    So does a rule whose body is not a path (see Plan).
     """
 
     def __new__(cls, rules):
@@ -186,26 +143,32 @@ class Program(tuple):
         return self
 
 
-def derive(facts, rules):
-    """The atoms a rule list (or Program) derives from ground facts (a set or a
-    FactIndex), as a FactIndex of their own.
+def derive(index, program):
+    """The atoms a Program derives from the ground facts of a FactIndex, as a
+    FactIndex of their own.
 
-    Every rule is matched once against the facts; no head predicate occurs in
-    a body, so no derived atom can match another rule.  A rule whose first
-    body predicate has no fact is skipped.  Every atom a head produces is
-    kept, whether or not an input fact equals it, so an input relation named
-    like a head predicate is never read as a derived atom.
+    Every rule is matched once against the facts, walking its plan; no head
+    predicate occurs in a body, so no derived atom can match another rule.
+    A rule whose first body predicate has no fact is skipped, and a walk
+    stops at the first step that keeps no row.  Every atom a head produces
+    is kept, whether or not an input fact equals it, so an input relation
+    named like a head predicate is never read as a derived atom.
     """
-    index = _index(facts)
-    program = rules if isinstance(rules, Program) else Program(rules)
     derived = {}
     for plan in program.plans:
-        if plan.first is None or plan.first in index.by_predicate:
-            rows = plan.rows(index)
-            if rows:
-                for predicate, pick in plan.heads:
-                    derived.setdefault(predicate, set()).update(map(pick, rows))
-    return FactIndex.of_groups({p: list(group) for p, group in derived.items()})
+        facts = index.by_predicate.get(plan.first)
+        if not facts:
+            continue
+        rows = [plan.row + args for args in facts]
+        for predicate, slot in plan.steps:
+            firsts = index.by_first(predicate)
+            rows = [row + (args[1],) for row in rows for args in firsts.get(row[slot], ())]
+            if not rows:
+                break
+        else:  # every step kept a row
+            for predicate, pick in plan.heads:
+                derived.setdefault(predicate, set()).update(map(pick, rows))
+    return FactIndex({p: list(group) for p, group in derived.items()})
 
 
 def model_to_text(model, predicate):
@@ -285,7 +248,7 @@ CLAUSE_SHAPES = (
 # Complement discovery.  Each head carries the host word it attaches to; the
 # preposition rule pairs an nmod (or its UD-v2 spelling, obl) with the
 # dependent's case marker.
-COMPLEMENT_RULES = Program((
+COMPLEMENT_RULES = (
     rule([atom("noun_compound", "H", "N")], [atom("compound", "H", "N")]),
     rule([atom("adj_mod", "H", "JJ")], [atom("amod", "H", "JJ")]),
     rule([atom("noun_conjunction", "H", "N")], [atom("conj", "H", "N")]),
@@ -298,7 +261,7 @@ COMPLEMENT_RULES = Program((
         [atom("obl", "H", "COMP"), atom("case", "COMP", "IN")],
     ),
     rule([atom("adverbial_modifier", "H", "ADV")], [atom("advmod", "H", "ADV")]),
-))
+)
 COMPLEMENT_KINDS = tuple(sorted({h.predicate for r in COMPLEMENT_RULES for h in r.heads}))
 
 # The program each sentence is analysed with: every body of every clause shape

@@ -7,6 +7,8 @@ categories, lincats, functions and opers.  Name collisions with identical
 definitions collapse to one entry; collisions with different definitions are
 renamed with a numeric suffix chosen from the canonical ordering of the
 definitions themselves, so the result does not depend on fragment order.
+The exception: of alike functions from two sources with one sentence id
+that differ only in an argument name or NP number, the first listed wins.
 Only names that more than one source defines are rendered and compared.
 
 ``merge`` groups the sources once, by one shape key, and does each group's

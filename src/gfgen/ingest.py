@@ -105,24 +105,19 @@ class SentenceFacts:
                 raise StructureError("sentence %r: cyclic dependency heads" % self.sentence_id)
 
     @cached_property
-    def fact_index(self):
-        """The sentence's dependency facts indexed for the rule engine, built on first use.
+    def model(self):
+        """The atoms ``engine.SENTENCE_RULES`` derives from the sentence's facts:
+        its structure readings, their roles and its complements, grouped by
+        predicate, without the facts themselves.
 
         Each dependency is a ``relation(head, dependent)`` fact.  Token tags
-        are not indexed: no rule reads them, so an edge labelled ``pos_tag``
-        is an ordinary unknown relation.
+        are not facts of the program: no rule reads them, so an edge labelled
+        ``pos_tag`` is an ordinary unknown relation.
         """
         groups = {}
         for dep in self.deps:
             groups.setdefault(dep.relation, []).append((dep.head, dep.dependent))
-        return engine.FactIndex.of_groups(groups)
-
-    @cached_property
-    def model(self):
-        """The atoms ``engine.SENTENCE_RULES`` derives from the sentence's facts:
-        its structure readings, their roles and its complements, grouped by
-        predicate, without the facts themselves."""
-        return engine.derive(self.fact_index, engine.SENTENCE_RULES)
+        return engine.derive(engine.FactIndex(groups), engine.SENTENCE_RULES)
 
     def token(self, index):
         return self._by_index[index]

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -16,6 +17,14 @@ from gfgen.structure import SHAPES, recognize
 
 # every Program the engine module defines, so the oracles cover a program added later
 PROGRAMS = {name: v for name, v in vars(engine).items() if isinstance(v, engine.Program)}
+
+
+def index(facts):
+    """The FactIndex of a set of atoms."""
+    groups = {}
+    for a in set(facts):
+        groups.setdefault(a.predicate, []).append(a.args)
+    return engine.FactIndex(groups)
 
 
 def atoms(model):
@@ -43,26 +52,26 @@ BILL_FACTS = frozenset(
 
 
 def test_bill_game_structures():
-    model = derive(BILL_FACTS, SENTENCE_RULES)
+    model = derive(index(BILL_FACTS), SENTENCE_RULES)
     assert structures(model) == {(1, 1), (2, 2)}
 
 
 def test_empty_fact_set():
-    assert {"SENTENCE_RULES", "COMPLEMENT_RULES"} <= set(PROGRAMS)
+    assert set(PROGRAMS) == {"SENTENCE_RULES"}
     for program in PROGRAMS.values():
-        assert derive(frozenset(), program).by_predicate == {}
+        assert derive(index(()), program).by_predicate == {}
 
 
 def test_copular_structures():
     facts = frozenset([atom("nsubj", 3, 1), atom("cop", 3, 2), atom("pos_tag", 3, "jj")])
-    model = derive(facts, SENTENCE_RULES)
+    model = derive(index(facts), SENTENCE_RULES)
     assert structures(model) == {(1, 1), (4, 2)}
 
 
 def test_component_heads_are_conjunctive():
     # roles(kind, body position, token per role in name order): one head binds
     # every role of a matching body, beside its reading; transitive is (obj, sub, verb)
-    model = derive(BILL_FACTS, SENTENCE_RULES)
+    model = derive(index(BILL_FACTS), SENTENCE_RULES)
     assert model.by_predicate == {
         "structure": [(1, 1), (2, 2)],
         "roles": [(1, 0, 1, 2), (2, 0, 4, 1, 2)],
@@ -79,7 +88,7 @@ def test_complements_anchor_position():
             atom("amod", 10, 9),
         ]
     )
-    model = derive(facts, SENTENCE_RULES)
+    model = derive(index(facts), SENTENCE_RULES)
     derived = {(a.predicate, a.args) for a in atoms(model)}
     assert {(p, args[1:]) for p, args in derived if args[0] == 6} == {
         ("adj_mod", (4,)),
@@ -92,14 +101,14 @@ def test_complements_anchor_position():
 
 def test_monotonicity():
     extra = frozenset([atom("nsubjpass", 7, 6), atom("auxpass", 7, 8)])
-    small = derive(BILL_FACTS, SENTENCE_RULES)
-    big = derive(BILL_FACTS | extra, SENTENCE_RULES)
+    small = derive(index(BILL_FACTS), SENTENCE_RULES)
+    big = derive(index(BILL_FACTS | extra), SENTENCE_RULES)
     assert atoms(small) < atoms(big)
 
 
 def test_fixpoint_is_stable():
-    model = derive(BILL_FACTS, SENTENCE_RULES)
-    again = derive(atoms(model) | BILL_FACTS, SENTENCE_RULES)
+    model = derive(index(BILL_FACTS), SENTENCE_RULES)
+    again = derive(index(atoms(model) | BILL_FACTS), SENTENCE_RULES)
     assert again.by_predicate == model.by_predicate
 
 
@@ -133,7 +142,7 @@ def _brute_force(facts, rules):
 
 def _check_against_brute_force(facts):
     for name, program in PROGRAMS.items():
-        model = derive(facts, program)
+        model = derive(index(facts), program)
         assert atoms(model) == _brute_force(facts, program), (name, sorted(map(str, facts)))
         for group in model.by_predicate.values():
             assert group == sorted(set(group)), name
@@ -174,7 +183,7 @@ def test_recursive_rules_are_rejected():
     with pytest.raises(ValueError, match="path"):
         engine.Program(closure)
     with pytest.raises(ValueError, match="path"):
-        derive(frozenset(atom("edge", i, i + 1) for i in range(1, 6)), closure)
+        derive(index(atom("edge", i, i + 1) for i in range(1, 6)), engine.Program(closure))
 
 
 def _naive_bindings(facts, body):
@@ -204,7 +213,8 @@ def _variables(body):
 
 def _matches(facts, body):
     """What one rule over ``body`` derives, its head listing every body variable."""
-    return atoms(derive(facts, [engine.rule([Atom("match", _variables(body))], body)]))
+    program = engine.Program([engine.rule([Atom("match", _variables(body))], body)])
+    return atoms(derive(index(facts), program))
 
 
 def _naive_matches(facts, body):
@@ -217,7 +227,6 @@ def test_bindings_are_deterministic():
     body = [atom("nsubj", "V", "S")]
     assert _matches(facts, body) == {atom("match", 2, 1), atom("match", 5, 4)}
     assert _matches(sorted(facts, reverse=True), body) == _matches(facts, body)
-    assert _matches(engine.FactIndex(facts), body) == _matches(facts, body)
 
     # later patterns have their first argument bound by an earlier one
     facts = frozenset(
@@ -240,47 +249,62 @@ def test_bindings_are_deterministic():
     expected = _naive_matches(facts, body)
     assert len(expected) == 4
     assert _matches(facts, body) == expected
-    assert _matches(engine.FactIndex(facts), body) == expected
-    body = [atom("nmod", 6, "C"), atom("case", "C", "M"), atom("pos_tag", "C", "nns")]
-    assert _matches(facts, body) == _naive_matches(facts, body)
-    assert _matches(facts, body) == {atom("match", 10, 7), atom("match", 10, 9)}
 
 
 def test_bindings_equal_naive_bindings_on_random_bodies():
     rng = random.Random(20261019)
-    # "p" has facts and patterns of arity 1 and 2; terms are variables or int constants
-    arities = {"p": (1, 2), "q": (2,), "r": (3,)}
+    predicates = ["p", "q", "r"]
     seen = set()
     for _ in range(600):
         facts = frozenset(
-            Atom(pred, tuple(rng.randint(1, 3) for _ in range(rng.choice(arities[pred]))))
-            for pred in rng.choices(sorted(arities), k=rng.randint(0, 14))
+            atom(rng.choice(predicates), rng.randint(1, 4), rng.randint(1, 4))
+            for _ in range(rng.randint(0, 14))
         )
-        body = []
-        for pred in rng.choices(sorted(arities), k=rng.randint(0, 3)):
-            terms = tuple(
-                rng.choice("XYZ") if rng.random() < 0.7 else rng.randint(1, 3)
-                for _ in range(rng.choice(arities[pred]))
-            )
-            body.append(Atom(pred, terms))
-            seen.add("constant first" if not is_variable(terms[0]) else "variable first")
-            seen.update("constant later" for t in terms[1:] if not is_variable(t))
-            if len({t for t in terms if is_variable(t)}) < sum(map(is_variable, terms)):
-                seen.add("repeated variable")
-        seen.add("empty body" if not body else "body")
+        # each later atom starts at a variable an earlier atom bound and binds a new one
+        variables = ["V0", "V1"]
+        body = [atom(rng.choice(predicates), "V0", "V1")]
+        for _ in range(rng.randint(0, 2)):
+            start = rng.choice(variables)
+            seen.add("chain" if start == variables[-1] else "fork")
+            variables.append("V%d" % len(variables))
+            body.append(atom(rng.choice(predicates), start, variables[-1]))
         expected = _naive_matches(facts, body)
         assert _matches(facts, body) == expected, (sorted(map(str, facts)), body)
-        assert _matches(engine.FactIndex(facts), body) == expected
-        seen.update("match" for _ in _naive_bindings(facts, body)[:1])
-    assert seen == {
-        "constant first",
-        "variable first",
-        "constant later",
-        "repeated variable",
-        "empty body",
-        "body",
-        "match",
-    }
+        seen.add("match" if expected else "no match")
+    assert seen == {"chain", "fork", "match", "no match"}
+
+
+# one body per shape a Program rejects, with the atom the error names
+NON_PATH_BODIES = {
+    "empty": ([], "empty rule body"),
+    "constant first": (
+        [atom("nmod", 6, "C"), atom("case", "C", "M")],
+        "nmod(6,C)",
+    ),
+    "constant later": (
+        [atom("nmod", "H", "C"), atom("case", "C", "M"), atom("pos_tag", "C", "nns")],
+        "pos_tag(C,nns)",
+    ),
+    "unary": ([atom("nsubj", "V", "S"), atom("root", "V")], "root(V)"),
+    "ternary": ([atom("preposition", "H", "C", "M")], "preposition(H,C,M)"),
+    "repeated variable": ([atom("nsubj", "V", "S"), atom("conj", "S", "S")], "conj(S,S)"),
+    "first argument unbound": (
+        [atom("nsubj", "V", "S"), atom("dobj", "W", "O")],
+        "dobj(W,O)",
+    ),
+    "second argument bound": (
+        [atom("nsubj", "V", "S"), atom("xcomp", "S", "V")],
+        "xcomp(S,V)",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NON_PATH_BODIES))
+def test_program_rejects_non_path_bodies(shape):
+    body, named = NON_PATH_BODIES[shape]
+    head = Atom("match", _variables(body))
+    with pytest.raises(ValueError, match=re.escape(named)):
+        engine.Program([engine.rule([head], body)])
 
 
 def _reference_roles(facts, reading):
@@ -343,5 +367,5 @@ def test_roles_of_every_corpus_reading_equal_naive_bindings(fixtures_dir):
 
 
 def test_model_to_text():
-    model = derive(frozenset([atom("nsubj", 2, 1)]), SENTENCE_RULES)
+    model = derive(index([atom("nsubj", 2, 1)]), SENTENCE_RULES)
     assert engine.model_to_text(model, "structure") == "structure(1,1).\n"
