@@ -42,9 +42,9 @@ class SentenceResult:
 def evaluate_sentences(sentences, warn=None):
     """Per-sentence round-trip results for parsed sentences.
 
-    A sentence that role assignment or the encoder rejects (an unsupported
-    tag or category, or two conflicting definitions of one oper) counts as
-    recognized but not encodable.
+    A sentence that ``analyze`` rejects (a tree higher than its bound, an
+    unsupported tag or category, or two conflicting definitions of one oper)
+    counts as recognized but not encodable.
     """
     results = []
     for facts in sentences:

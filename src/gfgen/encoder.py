@@ -23,15 +23,16 @@ sentence: every expression node (string, reference or constructor
 application), every oper and every component function decodes to one object
 per distinct value, from process-wide tables.  Opers are found by name and
 category, component functions by name (their head lemma, which recurs across
-sentences): a definition whose dict equals, in one comparison, the canonical
-dict of one decoded before under its name is that shared object, with no walk
-and no check.  A canonical dict is built from the decoded object when its name
-is seen a second time, so a definition seen once costs one failed lookup.  A
-Message function is named by its sentence id, so it never recurs and stays per
-fragment.  The tables grow with the distinct definitions read: a replica of a
-sentence under a new id adds nothing, and each new sentence structure adds a
-few nodes.  A value of the wrong type is a ValueError; only what the tables
-miss is checked.  Encoding builds each sentence's own objects.
+sentences), and each key holds one list of [canonical dict, object] entries,
+one per distinct definition decoded under it: a definition whose dict equals,
+in one comparison, an entry's canonical dict is that entry's shared object,
+with no walk and no check.  An entry's canonical dict is built from its object
+when the entry is first compared, so a definition seen once costs one failed
+lookup.  A Message function is named by its sentence id, so it never recurs
+and stays per fragment.  The tables grow with the distinct definitions read: a
+replica of a sentence under a new id adds nothing, and each new sentence
+structure adds a few nodes.  A value of the wrong type is a ValueError; only
+what the tables miss is checked.  Encoding builds each sentence's own objects.
 """
 
 import re
@@ -221,6 +222,13 @@ def _noun_words(facts, chunk):
     return words
 
 
+def _oper(grammar, ident, cat, definition):
+    """Add the oper ``<ident>_<cat>``, defined by ``definition``; return its reference."""
+    name = ident + "_" + cat
+    grammar.add_oper(GfOper(name, cat, definition))
+    return oper_ref(name)
+
+
 def _noun_oper(facts, chunk, grammar):
     tok = facts.token(chunk.head)
     words = _noun_words(facts, chunk)
@@ -231,9 +239,8 @@ def _noun_oper(facts, chunk, grammar):
         plural = " ".join(words[:-1] + [tok.surface])
     else:
         plural = morph.pluralize_noun(singular)
-    name = sanitize_ident("_".join(words)) + "_N"
-    grammar.add_oper(GfOper(name, "N", app("mkN", Lit(singular), Lit(plural))))
-    return name, words
+    definition = app("mkN", Lit(singular), Lit(plural))
+    return _oper(grammar, sanitize_ident("_".join(words)), "N", definition), words
 
 
 def _verb_forms(token, lemma):
@@ -248,10 +255,8 @@ def _verb_forms(token, lemma):
 def _verb_oper(facts, index, cat, grammar):
     tok = facts.token(index)
     lemma = tok.lemma.lower()
-    name = sanitize_ident(lemma) + "_" + cat
     definition = app("mk" + cat, Lit(lemma), forms=_verb_forms(tok, lemma))
-    grammar.add_oper(GfOper(name, cat, definition))
-    return name
+    return _oper(grammar, sanitize_ident(lemma), cat, definition)
 
 
 # --- chunk encoding -----------------------------------------------------------
@@ -268,28 +273,18 @@ def encode_ap(facts, chunk, grammar, materialize=True):
         raise CategoryError("token %d (%s) is not adjectival" % (chunk.head, tok.surface))
     # participial adjectives keep their surface form ("consumed", not "consume")
     word = tok.surface.lower() if tok.pos in ("vbn", "vbg") else tok.lemma
-    a_name = sanitize_ident(word) + "_A"
-    grammar.add_oper(GfOper(a_name, "A", app("mkA", Lit(word))))
     name_parts = [sanitize_ident(word)]
+    expr = app("mkAP", _oper(grammar, name_parts[0], "A", app("mkA", Lit(word))))
     if materialize:
-        ap_name = name_parts[0] + "_AP"
-        grammar.add_oper(GfOper(ap_name, "AP", app("mkAP", oper_ref(a_name))))
-        expr = oper_ref(ap_name)
-    else:
-        expr = app("mkAP", oper_ref(a_name))
+        expr = _oper(grammar, name_parts[0], "AP", expr)
     for att in chunk.attachments:
         if att.kind != "adverbial_modifier":
             continue  # no extended rule consumes other adjective complements
-        ada_tok = facts.token(att.chunk.head)
-        ada_name = sanitize_ident(ada_tok.lemma) + "_AdA"
-        grammar.add_oper(GfOper(ada_name, "AdA", app("mkAdA", Lit(ada_tok.lemma))))
-        name_parts.insert(0, sanitize_ident(ada_tok.lemma))
+        lemma = facts.token(att.chunk.head).lemma
+        name_parts.insert(0, sanitize_ident(lemma))
+        expr = app("mkAP", _oper(grammar, name_parts[0], "AdA", app("mkAdA", Lit(lemma))), expr)
         if materialize:
-            wrapped = "_".join(name_parts) + "_AP"
-            grammar.add_oper(GfOper(wrapped, "AP", app("mkAP", oper_ref(ada_name), expr)))
-            expr = oper_ref(wrapped)
-        else:
-            expr = app("mkAP", oper_ref(ada_name), expr)
+            expr = _oper(grammar, "_".join(name_parts), "AP", expr)
     return expr, "_".join(name_parts)
 
 
@@ -309,53 +304,41 @@ def encode_np(facts, chunk, grammar):
             "token %d (%s/%s) cannot head a noun phrase" % (chunk.head, tok.surface, tok.pos)
         )
     number = "pl" if tok.pos in PLURAL_TAGS else "sg"
-    n_name, words = _noun_oper(facts, chunk, grammar)
-    adjectives = [a for a in chunk.attachments if a.kind == "adj_mod"]
-    if adjectives:
-        cn_names = [sanitize_ident(w) for w in words]
-        inner = oper_ref(n_name)
-        inner_cat = "N"
-        for att in reversed(adjectives):
-            ap_expr, ap_ident = encode_ap(facts, att.chunk, grammar, materialize=True)
-            cn_names = ap_ident.split("_") + cn_names
-            cn_name = "_".join(cn_names) + "_CN"
-            grammar.add_oper(GfOper(cn_name, "CN", app("mkCN", ap_expr, inner)))
-            inner = oper_ref(cn_name)
-            inner_cat = "CN"
-        np = app("mkNP", inner, num=number)
-    else:
-        np = app("mkNP", oper_ref(n_name), num=number)
+    inner, words = _noun_oper(facts, chunk, grammar)
+    cn_ident = "_".join(map(sanitize_ident, words))
+    for att in reversed([a for a in chunk.attachments if a.kind == "adj_mod"]):
+        ap_expr, ap_ident = encode_ap(facts, att.chunk, grammar)
+        cn_ident = ap_ident + "_" + cn_ident
+        inner = _oper(grammar, cn_ident, "CN", app("mkCN", ap_expr, inner))
+    np = app("mkNP", inner, num=number)
     for att in chunk.attachments:
-        if att.kind != "preposition":
-            continue
-        prep_word = facts.token(att.case_marker).lemma.lower()
-        prep = oper_ref(sanitize_ident(prep_word) + "_Prep")
-        np = app("mkNP", np, app("ConstructorsEng.mkAdv", prep, encode_np(facts, att.chunk, grammar)))
+        if att.kind == "preposition":
+            np = app("mkNP", np, _prepositional(facts, att, grammar))
     conjuncts = [a for a in chunk.attachments if a.kind == "noun_conjunction"]
     if conjuncts:
-        items = [encode_np(facts, att.chunk, grammar) for att in conjuncts] + [np]
-        lst = app("mkListNP", items[-2], items[-1])
-        for item in reversed(items[:-2]):
+        lst = np
+        for item in reversed([encode_np(facts, att.chunk, grammar) for att in conjuncts]):
             lst = app("mkListNP", item, lst)
         word = conjunction_word(facts, chunk.head, conjuncts[0].chunk.head)
         np = app("mkNP", oper_ref(sanitize_ident(word) + "_Conj"), lst, num="pl")
     return np
 
 
+def _prepositional(facts, att, grammar):
+    """The NP- or VP-modifying adverb of a preposition attachment."""
+    prep = oper_ref(sanitize_ident(facts.token(att.case_marker).lemma.lower()) + "_Prep")
+    return app("ConstructorsEng.mkAdv", prep, encode_np(facts, att.chunk, grammar))
+
+
 def _vp_wraps(facts, chunk, vp, grammar):
     """Adverbial complements of a verb wrap the VP, in dependent order."""
     for att in chunk.attachments:
         if att.kind == "adverbial_modifier":
-            adv_tok = facts.token(att.chunk.head)
-            adv_name = sanitize_ident(adv_tok.lemma) + "_Adv"
-            grammar.add_oper(GfOper(adv_name, "Adv", app("mkAdv", Lit(adv_tok.lemma))))
-            vp = app("mkVP", vp, oper_ref(adv_name))
+            lemma = facts.token(att.chunk.head).lemma
+            adv = _oper(grammar, sanitize_ident(lemma), "Adv", app("mkAdv", Lit(lemma)))
+            vp = app("mkVP", vp, adv)
         elif att.kind == "preposition":
-            prep_word = facts.token(att.case_marker).lemma.lower()
-            prep = oper_ref(sanitize_ident(prep_word) + "_Prep")
-            vp = app(
-                "mkVP", vp, app("ConstructorsEng.mkAdv", prep, encode_np(facts, att.chunk, grammar))
-            )
+            vp = app("mkVP", vp, _prepositional(facts, att, grammar))
     return vp
 
 
@@ -422,18 +405,12 @@ def encode_sentence(facts, selected, roles, slots=()):
         refs["obj"] = _component_fun(facts, roles.adj, "AP", expr, grammar, used)
     for role, cat in selected.verbs.items():
         index = getattr(roles, role)
-        verb = oper_ref(_verb_oper(facts, index, cat, grammar))
+        verb = _verb_oper(facts, index, cat, grammar)
         refs[role] = _component_fun(facts, index, cat, verb, grammar, used)
-
+    lin = encode_skeleton(facts, selected.skeleton, roles, refs, grammar)
     arg_names = tuple("a%d" % n for n in slots)
-    sent_fun = GfFunction(
-        name=sentence_function(facts.sentence_id),
-        arg_names=arg_names,
-        arg_cats=tuple("NP" for _ in slots),
-        result="Message",
-        lin=encode_skeleton(facts, selected.skeleton, roles, refs, grammar),
-    )
-    grammar.add_function(sent_fun)
+    name = sentence_function(facts.sentence_id)
+    grammar.add_function(GfFunction(name, arg_names, ("NP",) * len(slots), "Message", lin))
     return grammar
 
 
@@ -444,12 +421,7 @@ def sentence_function(sentence_id):
 
 def sentence_slots(facts):
     """Argument slot numbers ($1..$n) appearing in a sentence, numerically ordered."""
-    slots = set()
-    for tok in facts.tokens:
-        n = slot_number(tok)
-        if n is not None:
-            slots.add(n)
-    return tuple(sorted(slots))
+    return tuple(sorted({n for n in map(slot_number, facts.tokens) if n is not None}))
 
 
 class SentenceRecord(NamedTuple):
@@ -457,8 +429,8 @@ class SentenceRecord(NamedTuple):
 
     ``selected`` is the ``engine.CLAUSE_SHAPES`` row chosen, None when the
     sentence is unrecognized.  Otherwise ``error`` holds the ValueError that
-    role assignment (``roles`` is None) or encoding (``fragment`` is None)
-    rejected the sentence with.
+    rejected the sentence: ``roles`` is None when the height bound or role
+    assignment rejected it, ``fragment`` is None when encoding did.
     """
 
     facts: object
@@ -468,13 +440,27 @@ class SentenceRecord(NamedTuple):
     error: ValueError = None
 
 
+# The highest dependency tree a sentence may have; chunking, encoding and every
+# reader of an expression recurse once or more per level.
+MAX_HEIGHT = 100
+
+
 def analyze(facts):
-    """The record of one sentence: recognition, role assignment and encoding, in order."""
+    """The record of one sentence: recognition, role assignment and encoding, in order.
+
+    A recognized sentence whose dependency tree is higher than MAX_HEIGHT is
+    rejected before role assignment.
+    """
     selected = select(recognize(facts))
     if selected is None:
         return SentenceRecord(facts)
     roles = None
     try:
+        if facts.height > MAX_HEIGHT:
+            raise ValueError(
+                "sentence %r: dependency tree of height %d, more than %d"
+                % (facts.sentence_id, facts.height, MAX_HEIGHT)
+            )
         roles = main_components(facts, selected)
         fragment = encode_sentence(facts, selected, roles, slots=sentence_slots(facts))
     except ValueError as exc:
@@ -484,7 +470,7 @@ def analyze(facts):
 
 def synthesize_sentence(facts):
     """The fragment of one sentence, or None when it is unrecognized; a sentence
-    that role assignment or the encoder rejects raises the rejecting ValueError."""
+    that ``analyze`` rejects raises the rejecting ValueError."""
     record = analyze(facts)
     if record.error is not None:
         raise record.error
@@ -525,14 +511,13 @@ def oper_to_dict(oper):
 # constructor node by its constructor, number, forms and the identities of its
 # already shared arguments; the table keeps every object whose identity it
 # keys alive.  An oper is looked up by (name, category) and a component
-# function by its name: a name seen once holds its object, and from the
-# second sighting on a list of [canonical dict, object] entries.  An input
-# dict equal to an entry's canonical dict is that entry's object.  Equality
-# with a dict built from checked values implies the same types, so a hit needs
-# no check.  An entry's canonical dict is built from its object when its name
-# is looked up again, so a caller that later mutates its input cannot change
-# it.  An unhashable key (a list or dict) misses, and the checks on the miss
-# path reject it.
+# function by its name, and each key holds a list of [canonical dict, object]
+# entries.  An input dict equal to an entry's canonical dict is that entry's
+# object.  Equality with a dict built from checked values implies the same
+# types, so a hit needs no check.  An entry's canonical dict is built from its
+# object when the entry is first compared, so a caller that later mutates its
+# input cannot change it.  An unhashable key (a list or dict) misses, and the
+# checks on the miss path reject it.
 _LEAVES = {}
 _NODES = {}
 _OPERS = {}
@@ -585,15 +570,17 @@ def expr_from_dict(d):
     return node or _NODES.setdefault(key, _app(d["app"], args, d.get("num"), forms))
 
 
-def _recurring(table, key, seen, d, to_dict):
-    """The object decoded under ``key`` whose canonical dict equals ``d``, or None.
+def _held(table, key, d, to_dict):
+    """The object held under ``key`` whose canonical dict equals ``d``, else None.
 
-    ``seen`` is ``table[key]``: the one object decoded under ``key`` so far or,
-    from the key's second sighting on, a list of [canonical dict, object] entries.
+    An entry's canonical dict, ``to_dict`` of its object, is filled when the
+    entry is first compared.
     """
-    if type(seen) is not list:
-        seen = table[key] = [[None, seen]]
-    for entry in seen:
+    try:
+        entries = table.get(key, ())
+    except TypeError:  # unhashable: the checks on the miss path reject it
+        return None
+    for entry in entries:
         if entry[0] is None:
             entry[0] = to_dict(entry[1])
         if entry[0] == d:
@@ -601,11 +588,12 @@ def _recurring(table, key, seen, d, to_dict):
     return None
 
 
-def _kept(entries, obj, body):
-    """The entry's object equal to ``obj``, else ``obj`` added to ``entries``.
+def _kept(table, key, obj, body):
+    """The object held under ``key`` equal to ``obj``, else ``obj`` added under ``key``.
 
     Equal objects have one body, a shared node, so its field ``body`` is compared first.
     """
+    entries = table.setdefault(key, [])
     for _, seen in entries:
         if getattr(seen, body) is getattr(obj, body) and seen == obj:
             return seen
@@ -614,14 +602,9 @@ def _kept(entries, obj, body):
 
 
 def function_from_dict(f):
-    try:
-        seen = _FUNCTIONS.get(f["name"])
-    except TypeError:
-        seen = None
-    if seen is not None:
-        fun = _recurring(_FUNCTIONS, f["name"], seen, f, function_to_dict)
-        if fun is not None:
-            return fun
+    fun = _held(_FUNCTIONS, f["name"], f, function_to_dict)
+    if fun is not None:
+        return fun
     args = f["args"]
     names = cats = ()
     if args != []:  # most functions take no argument
@@ -633,26 +616,18 @@ def function_from_dict(f):
     fun = GfFunction(name, names, cats, result, expr_from_dict(f["lin"]))
     if result == "Message":  # named by its sentence id, so it never recurs
         return fun
-    seen = _FUNCTIONS.setdefault(name, fun)
-    return fun if seen is fun else _kept(seen, fun, "lin")
+    return _kept(_FUNCTIONS, name, fun, "lin")
 
 
 def oper_from_dict(o):
     key = (o["name"], o["category"])
-    try:
-        seen = _OPERS.get(key)
-    except TypeError:
-        seen = None
-    if seen is not None:
-        oper = _recurring(_OPERS, key, seen, o, oper_to_dict)
-        if oper is not None:
-            return oper
+    oper = _held(_OPERS, key, o, oper_to_dict)
+    if oper is not None:
+        return oper
     definition = expr_from_dict(o["definition"])
     name, category = _checked(key[0], str, "oper name"), _checked(key[1], str, "category")
     definition = _checked(definition, App, "oper definition")  # merge reads its forms
-    oper = GfOper(name, category, definition)
-    seen = _OPERS.setdefault(key, oper)
-    return oper if seen is oper else _kept(seen, oper, "definition")
+    return _kept(_OPERS, key, GfOper(name, category, definition), "definition")
 
 
 def fragment_to_dict(grammar):

@@ -70,6 +70,8 @@ class SentenceFacts:
     deps: frozenset
     source_text: str = ""
     _by_index: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
+    # the most dependency edges on a path from a token up to its root
+    height: int = field(init=False, repr=False, compare=False, hash=False, default=0)
 
     def __post_init__(self):
         indices = [t.index for t in self.tokens]
@@ -78,10 +80,11 @@ class SentenceFacts:
                 "sentence %r: token indices must be consecutive from 1" % self.sentence_id
             )
         object.__setattr__(self, "_by_index", {t.index: t for t in self.tokens})
-        self._check_forest()
+        object.__setattr__(self, "height", self._forest_height())
 
-    def _check_forest(self):
-        parent = {}
+    def _forest_height(self):
+        """The height of the dependency forest; a StructureError unless it is one."""
+        parent, dependents = {}, {}
         for dep in self.deps:
             if dep.head not in self._by_index or dep.dependent not in self._by_index:
                 raise StructureError(
@@ -92,17 +95,18 @@ class SentenceFacts:
                 raise StructureError(
                     "sentence %r: token %d has two heads" % (self.sentence_id, dep.dependent)
                 )
-        # each token is walked once, by the walk from the first start that reaches
-        # it; a walk that stops at an earlier walk's token has reached a root,
-        # one that stops at its own token has a cycle
-        walked_from = {}
-        for start in parent:
-            node = start
-            while node in parent and node not in walked_from:
-                walked_from[node] = start
-                node = parent[node]
-            if walked_from.get(node) == start:
-                raise StructureError("sentence %r: cyclic dependency heads" % self.sentence_id)
+            dependents.setdefault(dep.head, []).append(dep.dependent)
+        # the tokens one edge below the roots, then two edges, ...: in a forest each
+        # token with a head is on one level, and one on no level is on a cycle
+        level = [d for head in dependents if head not in parent for d in dependents[head]]
+        height = reached = 0
+        while level:
+            height += 1
+            reached += len(level)
+            level = [d for head in level for d in dependents.get(head, ())]
+        if reached != len(parent):
+            raise StructureError("sentence %r: cyclic dependency heads" % self.sentence_id)
+        return height
 
     @cached_property
     def model(self):
@@ -162,31 +166,25 @@ def _fallback_lemma(surface, pos):
     return surface
 
 
-def parse_conllu(text, default_id_prefix="s"):
+def parse_conllu(text):
     """Parse CoNLL-U text into a list of SentenceFacts.
 
     Sentences are blank-line separated blocks of 10-column rows.  ``# sent_id``
-    and ``# text`` comments are honored when present.
+    and ``# text`` comments are honored when present; a block without a
+    ``sent_id`` is named by its ordinal: s1, s2, ...
     """
     sentences = []
     block_lines = []
-    block_start = 1
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.rstrip("\r")
         if line.strip() == "":
             if block_lines:
-                sentences.append(
-                    _parse_block(block_lines, block_start, len(sentences), default_id_prefix)
-                )
+                sentences.append(_parse_block(block_lines, len(sentences)))
                 block_lines = []
         else:
-            if not block_lines:
-                block_start = lineno
             block_lines.append((lineno, line))
     if block_lines:
-        sentences.append(
-            _parse_block(block_lines, block_start, len(sentences), default_id_prefix)
-        )
+        sentences.append(_parse_block(block_lines, len(sentences)))
     return sentences
 
 
@@ -201,7 +199,7 @@ def parse_conllu_file(path):
             raise type(exc)("%s: %s" % (path, exc)) from None
 
 
-def _parse_block(lines, block_start, ordinal, default_id_prefix):
+def _parse_block(lines, ordinal):
     sent_id = None
     source_text = ""
     tokens = []
@@ -250,7 +248,7 @@ def _parse_block(lines, block_start, ordinal, default_id_prefix):
     for index, (deprel, head) in heads.items():
         deps.append(DependencyFact(deprel, head, index))
     if sent_id is None:
-        sent_id = "%s%d" % (default_id_prefix, ordinal + 1)
+        sent_id = "s%d" % (ordinal + 1)
     return SentenceFacts(
         sentence_id=sent_id,
         tokens=tuple(tokens),

@@ -63,7 +63,7 @@ class _Builder:
         segments = self._split_coordination(start, end)
         heads = [self._simple_np(s, e) for s, e in segments]
         head = heads[0]
-        for i, conj_head in enumerate(heads[1:], start=1):
+        for conj_head in heads[1:]:
             self.edge("conj", head, conj_head)
         return head
 

@@ -151,6 +151,44 @@ def test_synthesize_skips_a_sentence_with_conflicting_opers(tmp_path, capsys, fi
     ]
 
 
+def prepositional_chain(n):
+    """"Bill likes game of w0 of w1 ...": n nested nmod+case edges, a tree n + 2 high."""
+    rows = [
+        ("Bill", "Bill", "PROPN", "NNP", 2, "nsubj"),
+        ("likes", "like", "VERB", "VBZ", 0, "root"),
+        ("game", "game", "NOUN", "NN", 2, "obj"),
+    ]
+    for i in range(n):  # of(4 + 2i) hangs from w_i(5 + 2i), which hangs from the noun before
+        rows.append(("of", "of", "ADP", "IN", 5 + 2 * i, "case"))
+        rows.append(("w%d" % i, "w%d" % i, "NOUN", "NN", 3 + 2 * i, "nmod"))
+    lines = ["# sent_id = chain", "# text = %s." % " ".join(row[0] for row in rows)]
+    lines += ["%d\t%s\t%s\t%s\t%s\t_\t%d\t%s\t_\t_" % (i, *row) for i, row in enumerate(rows, 1)]
+    return "\n".join(lines) + "\n"
+
+
+def test_every_command_reports_a_deep_prepositional_chain_without_a_traceback(tmp_path, capsys):
+    path = tmp_path / "corpus" / "people" / "sentences.conllu"
+    path.parent.mkdir(parents=True)
+    path.write_text(prepositional_chain(300), encoding="utf-8")
+    error = "sentence 'chain': dependency tree of height 302, more than 100"
+    outdir = tmp_path / "frags"
+    assert main(["synthesize", str(path), "-o", str(outdir)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "skip chain: not encodable: " + error,
+        "wrote 0 fragment(s) to %s" % outdir,
+    ]
+    assert main(["synthesize", str(path), "--dump-components"]) == 0
+    assert json.loads(capsys.readouterr().out) == [
+        {"sentence_id": "chain", "structure": {"kind": 2, "i_value": 2}, "error": error}
+    ]
+    assert main(["synthesize", str(path), "--dump-structures"]) == 0
+    assert capsys.readouterr().out == "chain\t2\t2\n"
+    assert main(["eval", "--corpus", str(tmp_path / "corpus")]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "sentence chain not encodable: %s\n" % error
+    assert captured.out.startswith("people: 1 sentences, 1 recognized, 0 BLEU-assessable, ")
+
+
 # "Kevin is here.": role assignment rejects a copula whose complement is tagged rb
 RB_BLOCK = "\n".join(
     [

@@ -4,7 +4,8 @@ import re
 from collections import Counter
 
 import pytest
-from test_cli import PERSON_BLOCK, RB_BLOCK
+from conftest import round_trip
+from test_cli import PERSON_BLOCK, RB_BLOCK, prepositional_chain
 
 from gfgen.components import (
     Attachment,
@@ -17,6 +18,7 @@ from gfgen.components import (
 )
 from gfgen.engine import CLAUSE_SHAPES, Atom
 from gfgen.encoder import (
+    MAX_HEIGHT,
     App,
     CategoryError,
     GfFunction,
@@ -288,6 +290,39 @@ def test_analyze_agrees_with_the_stage_functions(fixtures_dir):
     assert type(analyze(person).error) is ValueError
     assert analyze(person).roles is not None and analyze(person).fragment is None
     assert analyze(sentences[0]).fragment.function_names()[-1] == sentence_function("bill_game")
+
+
+def test_analyze_rejects_a_tree_higher_than_the_bound_after_recognition():
+    (facts,) = parse_conllu(prepositional_chain(MAX_HEIGHT - 2))
+    record = analyze(facts)
+    assert facts.height == MAX_HEIGHT and record.error is None
+    assert round_trip(facts) == facts.source_text[:-1]
+    for height in (MAX_HEIGHT + 1, 1000):
+        (facts,) = parse_conllu(prepositional_chain(height - 2))
+        record = analyze(facts)
+        assert facts.height == height
+        assert record.selected is SHAPES[2] and record.roles is None and record.fragment is None
+        assert type(record.error) is ValueError
+        assert str(record.error) == (
+            "sentence 'chain': dependency tree of height %d, more than %d" % (height, MAX_HEIGHT)
+        )
+
+
+def test_every_oper_is_named_and_built_for_its_category(fixtures_dir):
+    # exporter._suffixed_oper_name and linearizer.ambient_category read a
+    # category back from the name's last "_" part
+    opers = [
+        oper
+        for path in sorted(fixtures_dir.rglob("*.conllu"))
+        for fragment in map(synthesize_sentence, parse_conllu_file(path))
+        if fragment is not None
+        for oper in fragment.opers.values()
+    ]
+    assert len(opers) > 200
+    for oper in opers:
+        ident, underscore, cat = oper.name.rpartition("_")
+        assert ident and underscore and cat == oper.category, oper.name
+        assert oper.definition.fn == "mk" + oper.category, oper.name
 
 
 def test_expr_typecheck_corpus(fixtures_dir):

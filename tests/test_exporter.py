@@ -19,7 +19,9 @@ from gfgen.encoder import (
     fragment_from_dict,
     fragment_to_dict,
     fun_ref,
+    function_to_dict,
     oper_ref,
+    oper_to_dict,
     synthesize_sentence,
 )
 from gfgen.exporter import (
@@ -315,12 +317,35 @@ def test_shared_tables_grow_with_vocabulary_not_fragments(fixtures_dir):
 def _definition_table_sizes():
     """The keys and the objects of the oper and function tables.
 
-    A name seen once holds its object, a name seen again a list of [canonical dict, object].
+    Each key holds a list of [canonical dict, object] entries.
     """
     return [
-        (len(table), sum(len(v) if type(v) is list else 1 for v in table.values()))
+        (len(table), sum(map(len, table.values())))
         for table in (encoder._OPERS, encoder._FUNCTIONS)
     ]
+
+
+def test_each_definition_table_key_holds_entries_whose_filled_dicts_are_canonical(fixtures_dir):
+    fragments = corpus_fragments(fixtures_dir, "_entries")
+    decoded(fragments), decoded(fragments)  # the second decode fills the canonical dicts
+    decoded([_simple_fragment("entries", "quagga", "quagga")])  # a name seen once
+    tables = ((encoder._OPERS, oper_to_dict), (encoder._FUNCTIONS, function_to_dict))
+    for table, to_dict in tables:
+        for entries in table.values():
+            assert type(entries) is list and entries
+            for entry in entries:
+                assert type(entry) is list and len(entry) == 2
+                canonical, obj = entry
+                assert type(obj) is (GfOper if table is encoder._OPERS else GfFunction)
+                assert canonical is None or canonical == to_dict(obj)
+    assert encoder._OPERS[("quagga_N", "N")][0][0] is None  # never compared, so not filled
+    for fragment in fragments:
+        for oper in fragment.opers.values():
+            entries = encoder._OPERS[(oper.name, oper.category)]
+            assert any(canonical == oper_to_dict(oper) for canonical, _ in entries), oper.name
+        for fun in fragment.functions[:-1]:  # the component functions
+            entries = encoder._FUNCTIONS[fun.name]
+            assert any(canonical == function_to_dict(fun) for canonical, _ in entries), fun.name
 
 
 def _dict_nodes(d):

@@ -118,6 +118,14 @@ def test_long_head_chain_is_a_forest():
     assert len(facts.deps) == 1999
 
 
+def test_height_is_the_most_edges_from_a_token_up_to_its_root():
+    assert chain_facts([0]).height == 0
+    assert chain_facts([0, 1, 2, 1, 0, 5]).height == 2  # two trees, 1-2-3 the higher
+    assert chain_facts([2, 3, 0, 3]).height == 2
+    assert chain_facts(range(2000)).height == 1999
+    assert chain_facts(list(range(2, 2001)) + [0]).height == 1999  # the root last
+
+
 def test_cycle_at_the_far_end_of_a_long_chain():
     # token i hangs from token i + 1 up to the last, which hangs from the one before it
     heads = list(range(2, 2001)) + [1999]
