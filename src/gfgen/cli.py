@@ -147,6 +147,8 @@ def _cmd_linearize(args):
         text = linearize(grammar, args.fun, args=args.args or [], period=args.period)
     except (LookupError_, RealizeTypeError) as exc:
         raise CommandError(exc.args[0])
+    except RecursionError:  # the evaluator recurses once per level of a body
+        raise CommandError("function %s nests too deep to linearize" % args.fun)
     print(text)
     return 0
 

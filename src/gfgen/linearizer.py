@@ -24,14 +24,16 @@ with ``NPv`` arguments and tuple of their numbers, its sequence under ("seq",
 name, numbers): its sentence as a format string of literal text and
 argument positions, which a call fills with the arguments' texts.  That
 holds because every rule reads an NP's text only to place it and branches
-only on its number.  A call whose arguments are all ``NPv`` reads that key
-first and, on a hit, only fills the sequence: no lookup and no arity check.
-That is sound because a sequence is stored only after a call of this name
-with this many arguments passed both, and a grammar's functions do not
-change after its first lookup.  Other arguments, a body that is no sentence
-and a lexeme that holds the sequence delimiter take direct evaluation on
-every call.  No error is stored, so a dangling reference, an ill-typed node
-or a cycle raises on every use.  A cycle is found from the definitions that
+only on its number.  ``sentence_format`` reads and makes that entry; a
+``linearize`` call whose arguments are all ``NPv`` and the verbalizer, once
+per annotation at load, both go through it.  A stored entry is only filled:
+no lookup and no arity check.  That is sound because a sequence is stored
+only after a lookup of this name and an arity check with this many arguments
+passed, and a grammar's functions do not change after its first lookup.
+Other arguments, a body that is no sentence and a lexeme that holds the
+sequence delimiter take direct evaluation on every call.  No error is
+stored, so a dangling reference, an ill-typed node or a cycle raises on
+every use.  A cycle is found from the definitions that
 one call is still evaluating, never from a marker in the grammar, and each
 entry is computed from immutable definitions alone, so a race only recomputes it.
 """
@@ -44,6 +46,8 @@ from .morph import inflect_verb_3sg, pluralize_noun  # re-exported realizer surf
 
 __all__ = [
     "linearize",
+    "sentence_format",
+    "single_spaced",
     "linearize_expr",
     "infer_category",
     "GfTypeError",
@@ -392,6 +396,37 @@ def _argument_value(grammar, text):
     return _function(grammar, fun)
 
 
+def single_spaced(text):
+    """``text`` with each run of whitespace one space and none at either end."""
+    return " ".join(text.split())
+
+
+def sentence_format(grammar, function_name, numbers):
+    """The sequence of ``function_name`` over NPs of ``numbers``, as stored under ("seq", name, numbers).
+
+    A format string that ``str.format`` fills with the NPs' texts, in order;
+    ``single_spaced`` of the result is the sentence.  None where the direct
+    evaluation must serve (``_sequence`` gives False).  A stored entry is read
+    with no lookup and no arity check; making one looks the function up and
+    checks its arity first, and raises what they and ``_sequence`` raise.
+    """
+    values = grammar._values
+    if values is None:
+        values = grammar._values = {}
+    key = ("seq", function_name, numbers)
+    sequence = values.get(key)
+    if sequence is None:
+        fun = grammar.function(function_name)
+        if len(numbers) != len(fun.arg_names):
+            raise _arity_error(fun, len(numbers))
+        sequence = values[key] = _sequence(grammar, fun, numbers)
+    return None if sequence is False else sequence
+
+
+def _arity_error(fun, given):
+    return RealizeTypeError("function %s takes %d arguments, got %d" % (fun.name, len(fun.arg_names), given))
+
+
 def linearize(grammar, function_name, args=(), period=False):
     """Realize one grammar function as an English string.
 
@@ -399,36 +434,20 @@ def linearize(grammar, function_name, args=(), period=False):
     that names a function of the grammar or else is an opaque symbol
     (underscores become spaces, singular number).
     """
-    values = grammar._values
-    if values is None:
-        values = grammar._values = {}
-    sequence = False
-    if args:
-        texts, numbers = [], []
-        for arg in args:
-            if type(arg) is not NPv:
-                break
-            texts.append(arg.text)
-            numbers.append(arg.number)
-        else:  # a stored sequence is filled at once; an empty one takes the path below
-            key = ("seq", function_name, tuple(numbers))
-            sequence = values.get(key)
-            if sequence:
-                return " ".join(sequence.format(*texts).split()) + ("." if period else "")
+    if grammar._values is None:
+        grammar._values = {}
+    if args and all(type(arg) is NPv for arg in args):
+        sequence = sentence_format(grammar, function_name, tuple(arg.number for arg in args))
+        if sequence is not None:
+            return single_spaced(sequence.format(*[arg.text for arg in args])) + ("." if period else "")
     fun = grammar.function(function_name)
     if len(args) != len(fun.arg_names):
-        raise RealizeTypeError(
-            "function %s takes %d arguments, got %d" % (function_name, len(fun.arg_names), len(args))
-        )
-    if sequence is None:
-        sequence = values[key] = _sequence(grammar, fun, key[2])
-    if sequence is not False:
-        text = sequence.format(*texts)
-    elif args:
+        raise _arity_error(fun, len(args))
+    if args:
         argv = [arg if isinstance(arg, NPv) else _argument_value(grammar, str(arg)) for arg in args]
         text = _value(fun.lin, grammar, _env(fun, argv))
     else:
         text = _function(grammar, fun)
     if not isinstance(text, str):
         raise RealizeTypeError("function %s does not linearize to a sentence" % function_name)
-    return " ".join(text.split()) + ("." if period else "")
+    return single_spaced(text) + ("." if period else "")

@@ -3,10 +3,15 @@
 Each predicate carries one annotation sentence with positional slots
 ("input/2<TAB>The input of $1 is $2").  The sentence is pushed through the
 synthesis pipeline at load time, yielding a grammar function whose arguments
-are the slots; verbalization fills the arguments with the atom's symbols
-and realizes the sentence.  A symbol is opaque text, a singular noun phrase
-whose underscores become spaces, even where it spells a grammar function.  ``rdf:type`` is
-built in as the copular annotation "$1 is $2".
+are the slots, and is compiled there once: ``linearizer.sentence_format``
+gives the function's sentence over singular symbols as a format string.
+Verbalizing a fact fills that string with the fact's symbols; it makes no
+``linearize`` call.  A symbol is opaque text, a singular noun phrase whose
+underscores become spaces, even where it spells a grammar function.  An
+annotation that has no format (a lexeme holds the sequence delimiter, or
+the realizer rejects the sentence) linearizes each fact instead, with the
+same text or error.  ``rdf:type`` is built in as the copular annotation
+"$1 is $2".
 """
 
 import json
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 
 from .encoder import analyze, sanitize_ident, sentence_function, sentence_slots
 from .exporter import merge  # noqa: F401  uncalled here; bench/run.py swaps it for a traced one
-from .linearizer import NPv, linearize
+from .linearizer import LookupError_, NPv, RealizeTypeError, linearize, sentence_format, single_spaced
 from .template import TemplateError, parse_template
 
 # an argument is a double-quoted string, in which commas and ")" do not split
@@ -71,6 +76,7 @@ class AtomAnnotation:
     template_sentence: str
     grammar: object
     function_name: str
+    sentence_format: str  # over singular symbols; None where each fact is linearized
 
 
 def _build_annotation(predicate, arity, sentence):
@@ -97,12 +103,18 @@ def _build_annotation(predicate, arity, sentence):
         raise AnnotationError(
             "annotation for %s/%d is not encodable: %s" % (predicate, arity, record.error)
         )
+    function_name = sentence_function(sentence_id)
+    try:
+        compiled = sentence_format(record.fragment, function_name, ("sg",) * arity)
+    except (RealizeTypeError, LookupError_):  # raised again by each fact that needs it
+        compiled = None
     return AtomAnnotation(
         predicate=predicate,
         arity=arity,
         template_sentence=sentence,
         grammar=record.fragment,
-        function_name=sentence_function(sentence_id),
+        function_name=function_name,
+        sentence_format=compiled,
     )
 
 
@@ -170,27 +182,30 @@ def _annotation_index(annotations):
 
 
 def _sentence(annotation, args):
+    """The sentence of one fact: capitalized, with its period."""
     if type(annotation) is AnnotationError:  # a fresh copy, so no traceback piles up on it
         raise AnnotationError(*annotation.args)
-    symbols = [NPv(a.replace("_", " "), "sg") for a in args]
-    text = linearize(annotation.grammar, annotation.function_name, args=symbols)
-    return text[:1].upper() + text[1:]
+    symbols = [a.replace("_", " ") for a in args]
+    if annotation.sentence_format is None:
+        text = linearize(annotation.grammar, annotation.function_name, args=[NPv(s, "sg") for s in symbols])
+    else:
+        text = single_spaced(annotation.sentence_format.format(*symbols))
+    return text[:1].upper() + text[1:] + "."
+
+
+def _require(found, facts, spec):
+    """Raise MissingAnnotations naming ``spec(fact)`` for each fact whose ``found`` annotation is None."""
+    missing = {spec(fact) for fact, annotation in zip(facts, found) if annotation is None}
+    if missing:
+        raise MissingAnnotations(missing)
 
 
 def verbalize_atoms(atoms, annotations):
     """One sentence per atom, in input order, joined into a paragraph."""
     index = _annotation_index(annotations)
-    missing = {
-        "%s/%d" % (a.predicate, len(a.args))
-        for a in atoms
-        if (a.predicate, len(a.args)) not in index
-    }
-    if missing:
-        raise MissingAnnotations(missing)
-    sentences = [
-        _sentence(index[(a.predicate, len(a.args))], a.args) + "." for a in atoms
-    ]
-    return " ".join(sentences)
+    found = [index.get((a.predicate, len(a.args))) for a in atoms]
+    _require(found, atoms, lambda a: "%s/%d" % (a.predicate, len(a.args)))
+    return " ".join([_sentence(annotation, a.args) for annotation, a in zip(found, atoms)])
 
 
 _RDF_TYPE_ANNOTATION = None
@@ -206,20 +221,12 @@ def _rdf_type_annotation():
 def verbalize_triples(triples, annotations):
     """One sentence per triple; rdf:type uses the built-in copular annotation."""
     index = _annotation_index(annotations)
-    missing = set()
-    for t in triples:
-        if t.relation not in RDF_TYPE_RELATIONS and (t.relation, 2) not in index:
-            missing.add("%s/2" % t.relation)
-    if missing:
-        raise MissingAnnotations(missing)
-    out = []
-    for t in triples:
-        if t.relation in RDF_TYPE_RELATIONS:
-            annotation = _rdf_type_annotation()
-        else:
-            annotation = index[(t.relation, 2)]
-        out.append(_sentence(annotation, (t.subject, t.object)) + ".")
-    return out
+    found = [
+        _rdf_type_annotation() if t.relation in RDF_TYPE_RELATIONS else index.get((t.relation, 2))
+        for t in triples
+    ]
+    _require(found, triples, lambda t: "%s/2" % t.relation)
+    return [_sentence(annotation, (t.subject, t.object)) for annotation, t in zip(found, triples)]
 
 
 # --- input formats ------------------------------------------------------------

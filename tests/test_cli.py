@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from gfgen import encoder
 from gfgen.cli import main
 
 
@@ -187,6 +192,37 @@ def test_every_command_reports_a_deep_prepositional_chain_without_a_traceback(tm
     captured = capsys.readouterr()
     assert captured.err == "sentence chain not encodable: %s\n" % error
     assert captured.out.startswith("people: 1 sentences, 1 recognized, 0 BLEU-assessable, ")
+
+
+def test_linearize_reports_a_fragment_nested_too_deep_without_a_traceback(tmp_path, capsys, monkeypatch):
+    # 245 levels are more than analyze takes, so the fragment is written with the bound
+    # and the recursion limit raised, as a fragment from elsewhere may be
+    monkeypatch.setattr(encoder, "MAX_HEIGHT", 1000)
+    path = tmp_path / "chain.conllu"
+    path.write_text(prepositional_chain(245), encoding="utf-8")
+    outdir = tmp_path / "frags"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 1000)
+    try:
+        assert main(["synthesize", str(path), "-o", str(outdir)]) == 0
+    finally:
+        sys.setrecursionlimit(limit)
+    assert capsys.readouterr().err == "wrote 1 fragment(s) to %s\n" % outdir
+
+    # a fresh process, as on the command line: the test runner's own frames would
+    # leave the JSON reader too little of the usual limit; the evaluator recurses
+    # once per level, deeper than the reader, so only linearize fails
+    def gfgen(*argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(encoder.__file__).parents[1]))
+        return subprocess.run(
+            [sys.executable, "-m", "gfgen", *argv], capture_output=True, text=True, env=env
+        )
+
+    exported = gfgen("export", str(outdir), "-o", str(tmp_path / "Chain"))
+    assert exported.returncode == 0, exported.stderr
+    done = gfgen("linearize", "--grammar", str(outdir), "--fun", "sent_chain")
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == "gfgen: function sent_chain nests too deep to linearize\n"
 
 
 # "Kevin is here.": role assignment rejects a copula whose complement is tagged rb

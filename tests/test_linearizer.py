@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 from pathlib import Path
@@ -629,7 +630,6 @@ def test_rule_nodes_are_evaluated_once_per_annotation_and_argument_numbers(fixtu
         (fixtures_dir / tsv).read_text(encoding="utf-8")
         for tsv in ("phylotastic_annotations.tsv", "people_annotations.tsv")
     )
-    annotations, fresh = load_annotations(text), load_annotations(text)
     realized, looked_up = _count_work(monkeypatch)
 
     def nodes(call):
@@ -638,14 +638,19 @@ def test_rule_nodes_are_evaluated_once_per_annotation_and_argument_numbers(fixtu
         call()
         return len(realized)
 
-    # the rule nodes of one first call, per annotation
-    cost = {
-        a.predicate: nodes(lambda: linearize(a.grammar, a.function_name, args=[NPv("x", "sg")] * a.arity))
-        for a in fresh
-    }
+    # loading builds each annotation's sequence over singular symbols: the rule
+    # nodes of one first call per annotation, and one lookup of its function
+    annotations = []
+    at_load = nodes(lambda: annotations.extend(load_annotations(text)))
+    called = {a.function_name for a in annotations}
+    assert sorted(name for name in looked_up if name in called) == sorted(called)
+    cost = {}
+    for a in annotations:
+        blank = copy.copy(a.grammar)
+        blank._values = None  # the annotation grammar before its first call
+        cost[a.predicate] = nodes(lambda: linearize(blank, a.function_name, args=[NPv("x", "sg")] * a.arity))
     assert all(cost.values())
-    one = [GroundAtom("reads", ("Mick", "Daily_Mirror"))]
-    assert nodes(lambda: verbalize_atoms(one, annotations)) == cost["reads"]
+    assert at_load == sum(cost.values())
 
     rng = random.Random(5)
     symbols = ["Kevin", "Flossie", "web_link", "url", "Daily_Mirror"]
@@ -653,17 +658,11 @@ def test_rule_nodes_are_evaluated_once_per_annotation_and_argument_numbers(fixtu
         GroundAtom(rng.choice(sorted(cost)), (rng.choice(symbols), rng.choice(symbols)))
         for _ in range(200)
     ]
-    used = {a.predicate for a in atoms}
-    assert used == set(cost)
-    # each fact past the first of its annotation is one fill of its sequence;
-    # only a call that builds a sequence looks its function up (the other
-    # lookups are references in the bodies it evaluates)
-    built = used - {"reads"}
-    assert nodes(lambda: verbalize_atoms(atoms, annotations)) == sum(cost[p] for p in built)
-    called = {a.function_name for a in annotations}
-    assert len([name for name in looked_up if name in called]) == len(built)
-    assert nodes(lambda: verbalize_atoms(atoms, annotations)) == 0
-    assert looked_up == []
+    assert {a.predicate for a in atoms} == set(cost)
+    # each fact is one fill of its annotation's sequence: no node, no lookup
+    for _ in range(2):
+        assert nodes(lambda: verbalize_atoms(atoms, annotations)) == 0
+        assert looked_up == []
     for annotation in annotations:
         assert list(_sequences(annotation.grammar, annotation.function_name)) == [("sg", "sg")]
 

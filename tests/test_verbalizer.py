@@ -1,14 +1,19 @@
 import copy
+import itertools
 import pickle
 import random
 
 import pytest
 
+from gfgen import linearizer, verbalizer
+from gfgen.ingest import parse_conllu_file
+from gfgen.linearizer import _MARK, NPv, RealizeTypeError, linearize, linearize_expr
 from gfgen.verbalizer import (
     AnnotationError,
     GroundAtom,
     MissingAnnotations,
     Triple,
+    _rdf_type_annotation,
     load_annotations,
     parse_atoms,
     parse_triples,
@@ -376,3 +381,147 @@ def test_loaded_annotations_are_read_only_and_stay_indexed(phylo_annotations):
     # a plain list of annotations verbalizes alike
     atoms = [GroundAtom("typeof", ("web_link", "url"))]
     assert verbalize_atoms(atoms, before) == verbalize_atoms(atoms, phylo_annotations)
+
+
+# symbols that a format string or the whitespace rule could misread
+ODD_SYMBOLS = ["{0}", "{1} }", "  two   spaces ", "a\nb", "Daily_Mirror", "a\x00b"]
+
+
+def _linearized(annotation, args):
+    """The sentence of one fact as one ``linearize`` call gives it, capitalized, with its period."""
+    symbols = [NPv(a.replace("_", " "), "sg") for a in args]
+    text = linearize(annotation.grammar, annotation.function_name, args=symbols)
+    return text[:1].upper() + text[1:] + "."
+
+
+def _evaluated(annotation, args):
+    """The same sentence from a direct evaluation of the function's body."""
+    fun = annotation.grammar.function(annotation.function_name)
+    env = dict(zip(fun.arg_names, [NPv(a.replace("_", " "), "sg") for a in args]))
+    text = " ".join(linearize_expr(fun.lin, annotation.grammar, env).split())
+    return text[:1].upper() + text[1:] + "."
+
+
+def _corpus_annotation_lines(fixtures_dir):
+    """The benchmark's annotation shapes over every plain corpus noun and 3sg verb."""
+    nouns, verbs = set(), set()
+    for path in sorted((fixtures_dir / "corpus").glob("*/sentences.conllu")):
+        for facts in parse_conllu_file(path):
+            for tok in facts.tokens:
+                if tok.lemma.isalpha() and tok.lemma.islower():
+                    if tok.pos == "nn":
+                        nouns.add(tok.lemma)
+                    elif tok.pos == "vbz" and tok.lemma != "be":
+                        verbs.add(tok.surface)
+    lines = ["%s_of/2\tThe %s of $1 is $2" % (w, w) for w in sorted(nouns)]
+    lines += ["is_%s_of/2\t$1 is the %s of $2" % (w, w) for w in sorted(nouns)]
+    lines += ["%s/2\t$1 %s $2" % (w, w) for w in sorted(verbs)]
+    return lines
+
+
+def test_a_compiled_annotation_verbalizes_as_one_linearize_call_does(fixtures_dir):
+    text = "".join(
+        (fixtures_dir / tsv).read_text(encoding="utf-8")
+        for tsv in ("phylotastic_annotations.tsv", "people_annotations.tsv")
+    )
+    annotations = load_annotations(text + "\n".join(_corpus_annotation_lines(fixtures_dir)))
+    assert not annotations.failed and len(annotations.by_key) > 100
+    assert all(isinstance(a.sentence_format, str) for a in annotations)
+    for a in annotations.by_key.values():  # the corpus verb "reads" repeats a fixture record
+        for args in itertools.product(ODD_SYMBOLS, repeat=a.arity):
+            expected = _linearized(a, args)
+            assert verbalize_atoms([GroundAtom(a.predicate, args)], annotations) == expected
+            assert expected == _evaluated(a, args)
+    rdf_type = _rdf_type_annotation()
+    assert isinstance(rdf_type.sentence_format, str)
+    for subject, obj in itertools.product(ODD_SYMBOLS, repeat=2):
+        expected = [_linearized(rdf_type, (subject, obj))]
+        assert verbalize_triples([Triple(subject, "rdf:type", obj)], annotations) == expected
+        assert expected == [_evaluated(rdf_type, (subject, obj))]
+
+
+def test_an_annotation_without_a_format_linearizes_each_fact(monkeypatch):
+    # a lexeme that holds the sequence delimiter leaves the annotation without a format
+    annotations = load_annotations("reads/2\t$1 re%sads $2\ntype/1\tThe ty%spe of $1 is url" % (_MARK, _MARK))
+    assert [a.sentence_format for a in annotations] == [None, None]
+    for a in annotations:
+        for args in itertools.product(ODD_SYMBOLS, repeat=a.arity):
+            expected = _linearized(a, args)
+            assert verbalize_atoms([GroundAtom(a.predicate, args)], annotations) == expected
+            assert expected == _evaluated(a, args)
+    # so does a realizer error while the format is made; each fact raises it anew
+    made = linearizer._sequence
+
+    def failing(*args):
+        raise RealizeTypeError("no realization")
+
+    monkeypatch.setattr(linearizer, "_sequence", failing)
+    annotations = load_annotations("reads/2\t$1 reads $2")
+    assert annotations[0].sentence_format is None
+    atoms = [GroundAtom("reads", ("Mick", "Daily_Mirror"))]
+    for _ in range(2):
+        with pytest.raises(RealizeTypeError, match="^no realization$"):
+            verbalize_atoms(atoms, annotations)
+    monkeypatch.setattr(linearizer, "_sequence", made)
+    assert verbalize_atoms(atoms, annotations) == "Mick reads Daily Mirror."
+
+
+def test_loading_builds_one_format_per_annotation_and_facts_call_no_linearize(fixtures_dir, monkeypatch):
+    text = "".join(
+        (fixtures_dir / tsv).read_text(encoding="utf-8")
+        for tsv in ("phylotastic_annotations.tsv", "people_annotations.tsv")
+    )
+    built, called = [], []
+    made, linearized = linearizer._sequence, verbalizer.linearize
+
+    def counted_sequence(grammar, fun, numbers):
+        built.append((fun.name, numbers))
+        return made(grammar, fun, numbers)
+
+    def counted_linearize(grammar, name, **kwargs):
+        called.append(name)
+        return linearized(grammar, name, **kwargs)
+
+    monkeypatch.setattr(linearizer, "_sequence", counted_sequence)
+    monkeypatch.setattr(verbalizer, "linearize", counted_linearize)
+    annotations = load_annotations(text)
+    assert sorted(built) == sorted((a.function_name, ("sg",) * a.arity) for a in annotations)
+    rdf_type = _rdf_type_annotation()  # built once per process, on first use
+    built.clear()
+
+    rng = random.Random(17)
+    symbols = ["Kevin", "Flossie", "web_link", "url", "Daily_Mirror", "{0}"]
+    keys = sorted(annotations.by_key)
+    atoms = [GroundAtom(p, tuple(rng.choice(symbols) for _ in range(n))) for p, n in rng.choices(keys, k=300)]
+    relations = ["rdf:type", "has_pet", "reads"]
+    triples = [Triple(rng.choice(symbols), rng.choice(relations), rng.choice(symbols)) for _ in range(300)]
+    paragraph = verbalize_atoms(atoms, annotations)
+    sentences = verbalize_triples(triples, annotations)
+    assert (built, called) == ([], [])
+    assert paragraph == " ".join(_linearized(annotations.by_key[(a.predicate, len(a.args))], a.args) for a in atoms)
+
+    def annotation(relation):
+        return rdf_type if relation == "rdf:type" else annotations.by_key[(relation, 2)]
+
+    assert sentences == [_linearized(annotation(t.relation), (t.subject, t.object)) for t in triples]
+    # an annotation without a format makes one linearize call per fact
+    marked = load_annotations("reads/2\t$1 re%sads $2" % _MARK)
+    verbalize_atoms([GroundAtom("reads", ("a", "b"))] * 3, marked)
+    assert called == [marked[0].function_name] * 3
+
+
+def test_a_missing_annotation_wins_over_a_failed_one_at_an_earlier_fact(fixtures_dir):
+    text = (fixtures_dir / "people_annotations.tsv").read_text(encoding="utf-8")
+    annotations = load_annotations(text + "zz/2\tquickly and or $1 $2\n")
+    assert ("zz", 2) in annotations.failed
+    atoms = [GroundAtom("zz", ("a", "b")), GroundAtom("reads", ("a", "b")), GroundAtom("likes", ("a", "b"))]
+    with pytest.raises(MissingAnnotations) as exc:
+        verbalize_atoms(atoms + [GroundAtom("p", ("a",))], annotations)
+    assert exc.value.args[0] == "no annotation for: likes/2, p/1"
+    triples = [Triple("a", "zz", "b"), Triple("a", "rdf:type", "b"), Triple("a", "likes", "b")]
+    with pytest.raises(MissingAnnotations) as exc:
+        verbalize_triples(triples, annotations)
+    assert exc.value.args[0] == "no annotation for: likes/2"
+    # without the missing ones, the failed annotation's own error is raised
+    with pytest.raises(AnnotationError, match="^line 3: annotation for zz/2 "):
+        verbalize_atoms(atoms[:2], annotations)
